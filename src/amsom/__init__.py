@@ -8,14 +8,7 @@ metrics, a benchmark protocol and snapshot/SVG export.
 
 from .baseline import train_batch_som
 from .bench import ExperimentSpec, run_experiment
-from .core import (
-    Assignment,
-    Dataset,
-    MapState,
-    assign_all,
-    find_winner_pair,
-    squared_distance,
-)
+from .core import Assignment, Dataset, MapState, assign_all
 from .datasets import generate_cluster_dataset, load_csv, split_dataset
 from .engine import (
     EpochReport,
@@ -48,7 +41,6 @@ from .metrics import (
     dead_units,
     label_neurons,
     quality_report,
-    quantization_error,
     topographic_error,
 )
 from .snapshot import export_snapshot_json, load_snapshot, render_svg
@@ -78,7 +70,6 @@ __all__ = [
     "dead_units",
     "enforce_degree",
     "export_snapshot_json",
-    "find_winner_pair",
     "generate_cluster_dataset",
     "growing_threshold",
     "init_weights",
@@ -92,13 +83,11 @@ __all__ = [
     "process_pattern_edges",
     "prune_edges_and_neurons",
     "quality_report",
-    "quantization_error",
     "render_svg",
     "run_experiment",
     "side_lengths",
     "smooth",
     "split_dataset",
-    "squared_distance",
     "target_neuron_count",
     "topographic_error",
     "train",

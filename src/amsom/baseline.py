@@ -7,20 +7,11 @@ no position updates, no edge aging, no neuron addition or removal.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import (
-    Dataset,
-    MapState,
-    assign_all,
-    mean_quantization_error,
-    per_neuron_quantization,
-    win_histogram,
-)
+from .core import Dataset, MapState, assign_all, win_histogram
 from .engine import (
-    EpochReport,
     TrainConfig,
     _resolve_sigma0,
+    _run_epochs,
     _SigmaSchedule,
     batch_weight_update,
 )
@@ -33,36 +24,19 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
     Winners are found against the epoch-start weights, then every weight is
     replaced by its kernel-weighted average of winner means. R, E and A are
     left untouched; win counts accumulate for reporting. The sigma schedule
-    is shared with the adaptive trainer; since this lattice never deforms,
-    its cell width stays at one cell, so the schedule's late retargeting
-    aims at sigma_final itself.
+    and the epoch loop are shared with the adaptive trainer; since this
+    lattice never deforms, its cell width stays at one cell, so the
+    schedule's late retargeting aims at sigma_final itself.
     """
     config.validate()
     if data.d != map_state.d:
         raise TrainingError(f"map d={map_state.d} does not match data d={data.d}")
-    sigma0 = _resolve_sigma0(config, map_state)
+    schedule = _SigmaSchedule(config, _resolve_sigma0(config, map_state))
 
-    reports = []
-    prev_mqe = None
-    schedule = _SigmaSchedule(config, sigma0)
-    for epoch in range(1, config.max_epochs + 1):
+    def step(epoch, asg):
         sigma, _ = schedule.step(epoch, map_state)
-        asg = assign_all(data, map_state)
         map_state.win_count += win_histogram(asg, map_state.m)
         map_state.weights = batch_weight_update(map_state, asg, data, sigma)
+        return assign_all(data, map_state), []
 
-        eval_asg = assign_all(data, map_state)
-        mqe = mean_quantization_error(eval_asg)
-        if not np.isfinite(mqe):
-            raise TrainingError(f"non-finite mqe at epoch {epoch}")
-
-        report = EpochReport(epoch, mqe, per_neuron_quantization(eval_asg, map_state.m))
-        reports.append(report)
-        if progress is not None:
-            progress(report)
-
-        if prev_mqe is not None and abs(mqe - prev_mqe) < config.eps1:
-            break
-        prev_mqe = mqe
-
-    return map_state, reports
+    return map_state, _run_epochs(data, map_state, config.max_epochs, config.eps1, step, progress)

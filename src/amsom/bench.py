@@ -18,7 +18,7 @@ from .datasets import generate_cluster_dataset, load_csv, split_dataset
 from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
-from .metrics import label_neurons, quality_report
+from .metrics import quality_report
 from .snapshot import export_snapshot_json
 
 SUMMARY_METRICS = [
@@ -308,16 +308,11 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
             for algorithm in ("amsom", "som"):
                 records.append(_run_record(algorithm, run, result))
                 map_state = result[f"{algorithm}_map"]
-                labels = (
-                    label_neurons(train_data, map_state)
-                    if train_data.labels is not None
-                    else None
-                )
                 part = result[algorithm]
                 export_snapshot_json(
                     map_state,
                     out / f"run_{run:02d}_{algorithm}.json",
-                    labels=labels,
+                    labels=part["quality_train"].neuron_labels,
                     config=dataclasses.asdict(result["config"]),
                     metrics={
                         "qe_train": part["quality_train"].qe,

@@ -21,7 +21,7 @@ from .bench import (
 from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
-from .metrics import label_neurons, quality_report
+from .metrics import quality_report
 from .snapshot import export_snapshot_json, load_snapshot, render_svg
 
 
@@ -82,12 +82,10 @@ def _cmd_train(args) -> int:
     _, train_reports = train(data, map_state, cfg)
     _, smooth_reports = smooth(data, map_state, cfg)
     quality = quality_report(data, map_state)
-
-    labels = label_neurons(data, map_state) if data.labels is not None else None
     export_snapshot_json(
         map_state,
         args.out,
-        labels=labels,
+        labels=quality.neuron_labels,
         config=dataclasses.asdict(cfg),
         metrics={
             "qe": quality.qe,

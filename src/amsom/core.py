@@ -170,35 +170,6 @@ class Assignment:
     dist: np.ndarray
 
 
-def squared_distance(x, w) -> float:
-    """Squared Euclidean distance between a pattern and a weight vector."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.shape != w.shape:
-        raise DataError(f"dimension mismatch: {x.shape} vs {w.shape}")
-    diff = x - w
-    return float(diff @ diff)
-
-
-def find_winner_pair(x, map_state: MapState) -> tuple[int, int]:
-    """Indices of the best and second-best matching neurons for ``x``.
-
-    Ties are broken toward the lowest index, so the result is deterministic
-    for equal distances. Requires at least two neurons.
-    """
-    if map_state.m < 2:
-        raise MapStructureError("winner pair needs a map with at least 2 neurons")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (map_state.d,):
-        raise DataError(f"pattern shape {x.shape} does not match d={map_state.d}")
-    diff = map_state.weights - x
-    d2 = np.einsum("md,md->m", diff, diff)
-    winner = int(np.argmin(d2))
-    d2[winner] = np.inf
-    second = int(np.argmin(d2))
-    return winner, second
-
-
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     """Assign every pattern its winner and runner-up against frozen weights.
 

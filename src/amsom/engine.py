@@ -479,6 +479,38 @@ class _SigmaSchedule:
         return sigma, 0.0
 
 
+def _run_epochs(data: Dataset, map_state: MapState, max_epochs: int, eps: float, step, progress):
+    """The epoch loop shared by ``train``, ``smooth`` and ``train_batch_som``.
+
+    ``step(epoch, asg)`` gets the assignment of the map as it stands at the
+    start of the epoch, updates the map in place and returns
+    ``(asg, events)``: the assignment of the map as it stands at the end of
+    the epoch, and that epoch's structural events. The error of that end
+    assignment goes into the epoch's report. Nothing touches the map between
+    two epochs, so the same assignment starts the next one. Stops when the
+    epoch-to-epoch error change drops under ``eps``, and always after
+    ``max_epochs``. Returns the list of reports.
+    """
+    reports = []
+    prev_mqe = None
+    asg = assign_all(data, map_state)
+    for epoch in range(1, max_epochs + 1):
+        asg, events = step(epoch, asg)
+        mqe = mean_quantization_error(asg)
+        if not np.isfinite(mqe):
+            raise TrainingError(f"non-finite mqe at epoch {epoch}")
+
+        report = EpochReport(epoch, mqe, per_neuron_quantization(asg, map_state.m), events)
+        reports.append(report)
+        if progress is not None:
+            progress(report)
+
+        if prev_mqe is not None and abs(mqe - prev_mqe) < eps:
+            break
+        prev_mqe = mqe
+    return reports
+
+
 def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
     """Run the structural training phase until the error settles.
 
@@ -486,7 +518,8 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     epoch ends by measuring the mean quantization error against the map as it
     then stands; training stops early when the epoch-to-epoch change drops
     under eps1, and always at max_epochs. ``progress`` (if given) receives
-    every EpochReport as it is produced.
+    every EpochReport as it is produced. The epoch loop is the one shared
+    with ``smooth`` and the baseline.
     """
     config.validate()
     if map_state.m < 2:
@@ -498,14 +531,12 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     sigma0 = _resolve_sigma0(config, map_state)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 1]))
 
-    reports = []
-    prev_mqe = None
     epochs_since_add = 0
     schedule = _SigmaSchedule(config, sigma0)
-    for epoch in range(1, config.max_epochs + 1):
-        sigma, alpha = schedule.step(epoch, map_state)
 
-        asg = assign_all(data, map_state)
+    def step(epoch, asg):
+        nonlocal epochs_since_add
+        sigma, alpha = schedule.step(epoch, map_state)
         _apply_epoch_edges(map_state, asg.winner, asg.second)
         map_state.weights = batch_weight_update(map_state, asg, data, sigma)
         if alpha > 0.0:
@@ -516,9 +547,8 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
         events = prune_edges_and_neurons(map_state, config.age_max)
         epochs_since_add += 1
 
-        eval_asg = assign_all(data, map_state)
-        pnqe = per_neuron_quantization(eval_asg, map_state.m)
-
+        asg = assign_all(data, map_state)
+        pnqe = per_neuron_quantization(asg, map_state.m)
         split_events = maybe_add_neuron(
             map_state, pnqe, gt, epochs_since_add, config.t_add, rng, config.beta_mode
         )
@@ -530,23 +560,10 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
         events += degree_events
 
         if split_events or any(e["kind"] == "neuron_removed" for e in degree_events):
-            eval_asg = assign_all(data, map_state)
-            pnqe = per_neuron_quantization(eval_asg, map_state.m)
+            asg = assign_all(data, map_state)
+        return asg, events
 
-        mqe = mean_quantization_error(eval_asg)
-        if not np.isfinite(mqe):
-            raise TrainingError(f"non-finite mqe at epoch {epoch}")
-
-        report = EpochReport(epoch, mqe, pnqe, events)
-        reports.append(report)
-        if progress is not None:
-            progress(report)
-
-        if prev_mqe is not None and abs(mqe - prev_mqe) < config.eps1:
-            break
-        prev_mqe = mqe
-
-    return map_state, reports
+    return map_state, _run_epochs(data, map_state, config.max_epochs, config.eps1, step, progress)
 
 
 def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
@@ -560,7 +577,8 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     polished without reshuffling which neurons are closest to which
     patterns. No edges or neurons change. Stops when the epoch-to-epoch
     error change drops under eps2, or after smooth_max_epochs. Returns
-    ``(map_state, reports)``.
+    ``(map_state, reports)``. The epoch loop is the one shared with
+    ``train`` and the baseline.
     """
     config.validate()
     if map_state.m < 2:
@@ -571,10 +589,7 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     mask = map_state.edges | np.eye(map_state.m, dtype=bool)
     sigma = _cell_width_sigma(map_state, config)
 
-    reports = []
-    prev_mqe = None
-    for epoch in range(1, config.smooth_max_epochs + 1):
-        asg = assign_all(data, map_state)
+    def step(epoch, asg):
         target = batch_weight_update(
             map_state, asg, data, sigma, neighbor_mask=mask
         )
@@ -584,19 +599,8 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
         map_state.positions = position_update(
             map_state, asg, sigma, config.alpha_smooth, config.gamma, neighbor_mask=mask
         )
+        return assign_all(data, map_state), []
 
-        eval_asg = assign_all(data, map_state)
-        mqe = mean_quantization_error(eval_asg)
-        if not np.isfinite(mqe):
-            raise TrainingError(f"non-finite mqe at smoothing epoch {epoch}")
-
-        report = EpochReport(epoch, mqe, per_neuron_quantization(eval_asg, map_state.m))
-        reports.append(report)
-        if progress is not None:
-            progress(report)
-
-        if prev_mqe is not None and abs(mqe - prev_mqe) < config.eps2:
-            break
-        prev_mqe = mqe
-
-    return map_state, reports
+    return map_state, _run_epochs(
+        data, map_state, config.smooth_max_epochs, config.eps2, step, progress
+    )

@@ -1,5 +1,8 @@
 """Map quality measures: quantization error, topographic error, dead units,
 majority-vote neuron labels.
+
+The measures take one ``Assignment`` of a dataset to a map, so a report
+assigns the dataset once and derives every measure from it.
 """
 
 from __future__ import annotations
@@ -8,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MapState, assign_all, win_histogram
+from .core import (
+    Assignment,
+    Dataset,
+    MapState,
+    assign_all,
+    mean_quantization_error,
+    win_histogram,
+)
 from .errors import DataError, MapStructureError
 
 
@@ -23,57 +33,49 @@ class QualityReport:
     neuron_labels: list | None = None
 
 
-def quantization_error(data: Dataset, map_state: MapState) -> float:
-    """Mean distance from each pattern to its winner's weight vector."""
-    asg = assign_all(data, map_state)
-    return float(np.mean(np.sqrt(asg.dist)))
-
-
-def topographic_error(data: Dataset, map_state: MapState) -> float:
+def topographic_error(asg: Assignment, map_state: MapState) -> float:
     """Fraction of patterns whose winner and runner-up are not connected."""
     if map_state.m < 2:
         raise MapStructureError("topographic error needs at least 2 neurons")
-    asg = assign_all(data, map_state)
     connected = map_state.edges[asg.winner, asg.second]
     return float(np.mean(~connected))
 
 
-def dead_units(data: Dataset, map_state: MapState) -> tuple[int, float]:
-    """Count and fraction of neurons that win no pattern of ``data``."""
-    wins = win_histogram(assign_all(data, map_state), map_state.m)
-    count = int(np.sum(wins == 0))
-    return count, count / map_state.m
+def dead_units(asg: Assignment, m: int) -> tuple[int, float]:
+    """Count and fraction of the ``m`` neurons that win no pattern."""
+    count = int(np.sum(win_histogram(asg, m) == 0))
+    return count, count / m
 
 
-def label_neurons(data: Dataset, map_state: MapState) -> list:
-    """Majority-vote class label per neuron.
+def label_neurons(asg: Assignment, labels, m: int) -> list:
+    """Majority-vote class label per neuron, from the patterns' ``labels``.
 
     Ties go to the lowest class id; neurons winning no pattern get None.
     """
-    if data.labels is None:
+    if labels is None:
         raise DataError("label_neurons needs a labeled dataset")
-    if np.any(data.labels < 0):
+    if np.any(labels < 0):
         raise DataError("class ids must be non-negative")
-    asg = assign_all(data, map_state)
-    n_classes = int(data.labels.max()) + 1
-    labels: list = []
-    for i in range(map_state.m):
-        won = data.labels[asg.winner == i]
+    n_classes = int(labels.max()) + 1
+    out: list = []
+    for i in range(m):
+        won = labels[asg.winner == i]
         if won.size == 0:
-            labels.append(None)
+            out.append(None)
         else:
             counts = np.bincount(won, minlength=n_classes)
-            labels.append(int(np.argmax(counts)))
-    return labels
+            out.append(int(np.argmax(counts)))
+    return out
 
 
 def quality_report(data: Dataset, map_state: MapState) -> QualityReport:
     """Compute all measures at once (labels only when the data has them)."""
-    count, fraction = dead_units(data, map_state)
+    asg = assign_all(data, map_state)
+    count, fraction = dead_units(asg, map_state.m)
     return QualityReport(
-        qe=quantization_error(data, map_state),
-        te=topographic_error(data, map_state),
+        qe=mean_quantization_error(asg),
+        te=topographic_error(asg, map_state),
         dead_unit_count=count,
         dead_unit_fraction=fraction,
-        neuron_labels=None if data.labels is None else label_neurons(data, map_state),
+        neuron_labels=None if data.labels is None else label_neurons(asg, data.labels, map_state.m),
     )

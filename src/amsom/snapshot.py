@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MapState
-from .errors import DataError
+from .errors import DataError, MapStructureError
 
 SNAPSHOT_VERSION = 1
 
@@ -67,26 +67,80 @@ def export_snapshot_json(
         fh.write("\n")
 
 
+def _field(payload: dict, key: str, shape: tuple, dtype) -> np.ndarray:
+    """``payload[key]`` as a ``dtype`` array of ``shape``, where None matches
+    any length. Raises DataError when the key is missing, the nesting is
+    ragged, the entries are not numbers (integers for an integer field) or
+    the shape differs."""
+    if key not in payload:
+        raise DataError(f"snapshot has no {key!r} field")
+    kinds = "iu" if dtype is np.int64 else "iuf"
+    try:
+        arr = np.asarray(payload[key])
+        if arr.size == 0:
+            arr = arr.reshape([0 if s is None else s for s in shape])
+    except ValueError:
+        arr = None
+    if (
+        arr is None
+        or (arr.size > 0 and arr.dtype.kind not in kinds)
+        or arr.ndim != len(shape)
+        or any(s is not None and s != t for s, t in zip(shape, arr.shape))
+    ):
+        raise DataError(f"snapshot {key!r} must be {np.dtype(dtype).name} of shape {shape}")
+    return arr.astype(dtype)
+
+
 def snapshot_to_map(payload: dict) -> MapState:
-    """Rebuild a MapState from a snapshot dict."""
+    """Rebuild a MapState from a snapshot dict.
+
+    Every array is checked for shape and type, every edge for joining two
+    distinct neurons and the optional labels for one class id (or null) per
+    neuron, before anything is indexed; the rebuilt map must then pass
+    ``MapState.validate``. Any violation raises DataError.
+    """
+    if not isinstance(payload, dict):
+        raise DataError("snapshot must be a JSON object")
     if payload.get("format_version") != SNAPSHOT_VERSION:
         raise DataError(f"unsupported snapshot version {payload.get('format_version')!r}")
-    m = int(payload["neuron_count"])
-    weights = np.asarray(payload["weights"], dtype=np.float64).reshape(m, -1)
-    positions = np.asarray(payload["positions"], dtype=np.float64).reshape(m, 2)
+    m = payload.get("neuron_count")
+    if type(m) is not int or m < 1:
+        raise DataError(f"snapshot neuron_count must be a positive integer, got {m!r}")
+    weights = _field(payload, "weights", (m, None), np.float64)
+    positions = _field(payload, "positions", (m, 2), np.float64)
+    a, b, age = _field(payload, "edges", (None, 3), np.int64).T
+    win_count = _field(payload, "win_counts", (m,), np.int64)
+    if np.any((a < 0) | (a >= m) | (b < 0) | (b >= m) | (a == b)):
+        raise DataError(f"snapshot edges must join two distinct neurons in [0, {m})")
+    labels = payload.get("neuron_labels")
+    if labels is not None and (
+        not isinstance(labels, list)
+        or len(labels) != m
+        or any(v is not None and (type(v) is not int or v < 0) for v in labels)
+    ):
+        raise DataError(f"snapshot neuron_labels must be {m} class ids or nulls")
     edges = np.zeros((m, m), dtype=bool)
     ages = np.zeros((m, m), dtype=np.int64)
-    for a, b, age in payload["edges"]:
-        edges[a, b] = edges[b, a] = True
-        ages[a, b] = ages[b, a] = age
-    win_count = np.asarray(payload["win_counts"], dtype=np.int64)
-    return MapState(weights, positions, edges, ages, win_count)
+    edges[a, b] = edges[b, a] = True
+    ages[a, b] = ages[b, a] = age
+    map_state = MapState(weights, positions, edges, ages, win_count)
+    try:
+        map_state.validate()
+    except MapStructureError as exc:
+        raise DataError(f"invalid snapshot: {exc}") from exc
+    return map_state
 
 
 def load_snapshot(path) -> tuple[MapState, dict]:
-    """Read a snapshot file; returns the map and the full payload dict."""
+    """Read a snapshot file; returns the map and the full payload dict.
+
+    A file that is not JSON, or not a valid snapshot, raises DataError.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"snapshot {path} is not JSON: {exc}") from exc
     return snapshot_to_map(payload), payload
 
 

@@ -250,7 +250,7 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     spec.write_text("runs = 1\n")
     assert main(["bench", str(spec)]) == 1
 
-    # a structurally broken snapshot surfaces as a runtime error
+    # a structurally broken snapshot is malformed input data
     out = tmp_path / "map.json"
     assert (
         main(
@@ -264,5 +264,7 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     payload = json.loads(out.read_text())
     payload["weights"] = [1.0, 2.0, 3.0]
     out.write_text(json.dumps(payload))
-    assert main(["render", str(out)]) == 3
+    assert main(["render", str(out)]) == 2
+    out.write_text("{not json")
+    assert main(["render", str(out)]) == 2
     capsys.readouterr()  # keep the error lines out of the test log

@@ -6,10 +6,8 @@ from amsom.core import (
     Dataset,
     MapState,
     assign_all,
-    find_winner_pair,
     mean_quantization_error,
     per_neuron_quantization,
-    squared_distance,
     win_histogram,
     winner_means,
 )
@@ -48,40 +46,6 @@ def test_dataset_subset_keeps_rows_and_labels():
     assert data.patterns[3, 0] == 6.0  # subset owns its memory
 
 
-def test_squared_distance_values():
-    assert squared_distance([0.0, 0.0], [3.0, 4.0]) == 25.0
-    assert squared_distance([1.5], [1.5]) == 0.0
-    with pytest.raises(DataError):
-        squared_distance([1.0, 2.0], [1.0])
-
-
-def test_find_winner_pair_matches_bruteforce():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = int(rng.integers(2, 9))
-        d = int(rng.integers(1, 5))
-        ms = make_map(rng.normal(size=(m, d)))
-        x = rng.normal(size=d)
-        dists = [squared_distance(x, w) for w in ms.weights]
-        order = sorted(range(m), key=lambda i: (dists[i], i))
-        assert find_winner_pair(x, ms) == (order[0], order[1])
-
-
-def test_find_winner_pair_ties_go_to_lowest_index():
-    # neurons 0 and 2 are exact duplicates of the pattern
-    ms = make_map([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    assert find_winner_pair([1.0, 1.0], ms) == (0, 2)
-
-
-def test_find_winner_pair_needs_two_neurons():
-    ms = make_map([[0.0, 0.0]])
-    with pytest.raises(MapStructureError):
-        find_winner_pair([0.0, 0.0], ms)
-    two = make_map([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(DataError):
-        find_winner_pair([0.0, 0.0, 0.0], two)
-
-
 def test_assign_all_matches_per_pattern_search():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -92,12 +56,19 @@ def test_assign_all_matches_per_pattern_search():
         ms = make_map(rng.normal(size=(m, d)))
         asg = assign_all(data, ms)
         for k in range(n):
-            w, s = find_winner_pair(data.patterns[k], ms)
-            assert asg.winner[k] == w
-            assert asg.second[k] == s
-            assert asg.dist[k] == pytest.approx(
-                squared_distance(data.patterns[k], ms.weights[w]), abs=1e-12
-            )
+            dists = [float((data.patterns[k] - w) @ (data.patterns[k] - w)) for w in ms.weights]
+            order = sorted(range(m), key=lambda i: (dists[i], i))
+            assert asg.winner[k] == order[0]
+            assert asg.second[k] == order[1]
+            assert asg.dist[k] == pytest.approx(dists[order[0]], abs=1e-12)
+
+
+def test_assign_all_ties_go_to_lowest_index():
+    # neurons 0 and 2 are exact duplicates of the pattern
+    ms = make_map([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    asg = assign_all(Dataset([[1.0, 1.0]]), ms)
+    assert (asg.winner[0], asg.second[0]) == (0, 2)
+    assert asg.dist[0] == 0.0
 
 
 def test_assign_all_single_neuron_map():

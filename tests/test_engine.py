@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amsom.core import Dataset, assign_all, mean_quantization_error
+from amsom.baseline import train_batch_som
+from amsom.core import Dataset, assign_all, mean_quantization_error, per_neuron_quantization
 from amsom.engine import (
     TrainConfig,
     _apply_epoch_edges,
@@ -601,6 +602,34 @@ def test_train_input_checks():
         train(data, make_map(np.zeros((3, 5))), TrainConfig())
     with pytest.raises(ConfigError):
         train(data, make_map(np.zeros((3, 2))), TrainConfig(sf=2.0))
+
+
+@pytest.mark.parametrize("trainer", ["train", "smooth", "train_batch_som"])
+def test_carried_assignment_matches_a_fresh_one(trainer):
+    # every epoch's report must describe the map exactly as it then stands,
+    # although the trainers reuse that assignment to start the next epoch
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(0.0, 10.0, size=(4, 2))
+    data = Dataset(np.vstack([rng.normal(c, 0.6, size=(20, 2)) for c in centers]))
+    # frequent splits, and a degree cap of 2 that isolates and removes neurons
+    cfg = TrainConfig(seed=0, t_add=3, age_max=5, q_max=2, max_epochs=40,
+                      sigma_decay_epochs=10, smooth_max_epochs=30)
+    ms, cfg = create_initial_map(data, cfg)
+    if trainer == "smooth":
+        train(data, ms, cfg)
+
+    def check(report):
+        fresh = assign_all(data, ms)
+        assert report.mqe == mean_quantization_error(fresh)
+        np.testing.assert_array_equal(report.per_neuron_qe, per_neuron_quantization(fresh, ms.m))
+
+    run = {"train": train, "smooth": smooth, "train_batch_som": train_batch_som}[trainer]
+    _, reports = run(data, ms, cfg, progress=check)
+    assert len(reports) > 1
+    if trainer == "train":
+        # splits and removals change the map after its mid-epoch assignment
+        kinds = {e["kind"] for r in reports for e in r.events}
+        assert {"neuron_split", "neuron_removed"} <= kinds
 
 
 def test_smooth_freezes_the_structure(iris):

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from amsom.core import Dataset, assign_all
+import amsom.metrics
+from amsom.core import Dataset, assign_all, mean_quantization_error
 from amsom.errors import DataError, MapStructureError
-from amsom.metrics import (
-    dead_units,
-    label_neurons,
-    quality_report,
-    quantization_error,
-    topographic_error,
-)
+from amsom.metrics import dead_units, label_neurons, quality_report, topographic_error
 
 from conftest import make_map
 
@@ -18,7 +13,7 @@ def test_quantization_error_matches_a_plain_loop():
     rng = np.random.default_rng(51)
     data = Dataset(rng.normal(size=(30, 3)))
     ms = make_map(rng.normal(size=(5, 3)))
-    got = quantization_error(data, ms)
+    got = mean_quantization_error(assign_all(data, ms))
     total = 0.0
     for p in data.patterns:
         total += min(np.linalg.norm(p - w) for w in ms.weights)
@@ -30,7 +25,7 @@ def test_topographic_error_zero_when_fully_connected():
     data = Dataset(rng.normal(size=(20, 2)))
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     ms = make_map(rng.normal(size=(4, 2)), edges=edges)
-    assert topographic_error(data, ms) == 0.0
+    assert topographic_error(assign_all(data, ms), ms) == 0.0
 
 
 def test_topographic_error_zero_when_winners_stay_adjacent():
@@ -41,7 +36,7 @@ def test_topographic_error_zero_when_winners_stay_adjacent():
         edges=[(0, 1), (0, 2), (1, 3), (2, 3)],
     )
     data = Dataset([[0.1, 0.0], [0.9, 0.0], [0.0, 0.9], [1.0, 0.9]])
-    assert topographic_error(data, ms) == 0.0
+    assert topographic_error(assign_all(data, ms), ms) == 0.0
 
 
 def test_topographic_error_counts_disconnected_winner_pairs():
@@ -54,19 +49,20 @@ def test_topographic_error_counts_disconnected_winner_pairs():
     data = Dataset([[0.1, 0.0], [2.9, 0.0]])
     asg = assign_all(data, ms)
     assert (asg.winner[1], asg.second[1]) == (1, 2)  # bridges the gap
-    assert topographic_error(data, ms) == pytest.approx(0.5)  # 1 of N=2
+    assert topographic_error(asg, ms) == pytest.approx(0.5)  # 1 of N=2
 
 
 def test_topographic_error_needs_two_neurons():
     data = Dataset([[0.0]])
+    one = make_map([[0.0]], positions=[[0.0, 0.0]])
     with pytest.raises(MapStructureError):
-        topographic_error(data, make_map([[0.0]], positions=[[0.0, 0.0]]))
+        topographic_error(assign_all(data, one), one)
 
 
 def test_dead_units():
     ms = make_map([[0.0], [1.0], [10.0]])
     data = Dataset([[0.1], [0.9], [1.1]])
-    count, fraction = dead_units(data, ms)
+    count, fraction = dead_units(assign_all(data, ms), ms.m)
     assert count == 1
     assert fraction == pytest.approx(1.0 / 3.0)
 
@@ -74,32 +70,43 @@ def test_dead_units():
 def test_label_neurons_majority_vote():
     ms = make_map([[0.0], [1.0], [5.0]])
     data = Dataset([[0.0], [0.1], [0.9], [1.0], [1.1]], labels=[0, 0, 1, 1, 2])
-    assert label_neurons(data, ms) == [0, 1, None]
+    assert label_neurons(assign_all(data, ms), data.labels, ms.m) == [0, 1, None]
 
 
 def test_label_neurons_tie_goes_to_the_lowest_class():
     ms = make_map([[0.0], [9.0]])
     data = Dataset([[0.0], [0.1]], labels=[1, 0])
-    assert label_neurons(data, ms) == [0, None]
+    assert label_neurons(assign_all(data, ms), data.labels, ms.m) == [0, None]
 
 
 def test_label_neurons_requires_usable_labels():
     ms = make_map([[0.0], [1.0]])
+    asg = assign_all(Dataset([[0.0]]), ms)
     with pytest.raises(DataError):
-        label_neurons(Dataset([[0.0]]), ms)
+        label_neurons(asg, None, ms.m)
     with pytest.raises(DataError):
-        label_neurons(Dataset([[0.0]], labels=[-1]), ms)
+        label_neurons(asg, Dataset([[0.0]], labels=[-1]).labels, ms.m)
 
 
-def test_quality_report_bundles_the_measures():
+def test_quality_report_bundles_the_measures(monkeypatch):
     rng = np.random.default_rng(53)
     data = Dataset(rng.normal(size=(25, 2)), labels=rng.integers(0, 3, size=25))
     ms = make_map(rng.normal(size=(4, 2)), edges=[(0, 1), (1, 2), (2, 3)])
+    seen = []
+
+    def counting_assign_all(*args):
+        seen.append(assign_all(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(amsom.metrics, "assign_all", counting_assign_all)
     report = quality_report(data, ms)
-    assert report.qe == quantization_error(data, ms)
-    assert report.te == topographic_error(data, ms)
-    assert (report.dead_unit_count, report.dead_unit_fraction) == dead_units(data, ms)
-    assert report.neuron_labels == label_neurons(data, ms)
+    assert len(seen) == 1
+    asg = seen[0]
+    assert report.qe == mean_quantization_error(asg)
+    assert report.te == topographic_error(asg, ms)
+    assert (report.dead_unit_count, report.dead_unit_fraction) == dead_units(asg, ms.m)
+    assert report.neuron_labels == label_neurons(asg, data.labels, ms.m)
 
     plain = quality_report(Dataset(data.patterns), ms)
     assert plain.neuron_labels is None
+    assert len(seen) == 2

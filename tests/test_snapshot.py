@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from amsom.cli import main
 from amsom.core import Dataset
 from amsom.engine import TrainConfig, train
 from amsom.errors import DataError
@@ -77,6 +78,32 @@ def test_snapshot_version_guard(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError):
         load_snapshot(path)
+
+
+MALFORMED = {
+    "edge index -1": lambda p: p["edges"][0].__setitem__(0, -1),
+    "self-loop edge": lambda p: p["edges"][0].__setitem__(1, p["edges"][0][0]),
+    "negative age": lambda p: p["edges"][0].__setitem__(2, -3),
+    "NaN weight": lambda p: p["weights"][1].__setitem__(0, float("nan")),
+    "short win_counts": lambda p: p["win_counts"].pop(),
+    "edge index >= m": lambda p: p["edges"][0].__setitem__(1, 3),
+    "short positions": lambda p: p["positions"].pop(),
+    "missing weights key": lambda p: p.pop("weights"),
+    "short neuron_labels": lambda p: p["neuron_labels"].pop(),
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED))
+def test_render_rejects_a_malformed_snapshot_as_a_data_error(fault, tmp_path, capsys):
+    ms = make_map([[1.0], [2.0], [3.0]], edges=[(0, 1, 2), (1, 2, 0)])
+    path = tmp_path / "map.json"
+    export_snapshot_json(ms, path, labels=[0, 1, None])
+    payload = json.loads(path.read_text())
+    MALFORMED[fault](payload)
+    path.write_text(json.dumps(payload))
+    assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "map.svg").exists()
 
 
 def test_render_svg_draws_every_neuron_and_edge(tmp_path):

@@ -170,26 +170,112 @@ class Assignment:
     dist: np.ndarray
 
 
+# Score-block budget of assign_all: at most CHUNK float64 entries (2 MB) per
+# block of patterns, so memory stays O(CHUNK) however large n and m grow.
+CHUNK = 1 << 18
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+# Above this pattern-plus-weight scale an intermediate could overflow and
+# void the error bound, so such rows take the exact path.
+_MAX_SCALE = np.finfo(np.float64).max / 8
+
+
+def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
+    """Winner, runner-up and winner distance by brute force.
+
+    Forms every difference ``p - w`` and sums its squares over d, in blocks
+    of rows that keep the difference array under CHUNK entries. This is the
+    reference that ``assign_all`` reproduces bit for bit, and the path it
+    takes for maps of at most two neurons and for rows whose shortlist is
+    too close to call.
+    """
+    n = patterns.shape[0]
+    m, d = weights.shape
+    winner = np.empty(n, dtype=np.int64)
+    second = np.full(n, -1, dtype=np.int64)
+    dist = np.empty(n)
+    step = max(1, CHUNK // (m * d))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        diff = patterns[start:stop, None, :] - weights[None, :, :]
+        d2 = np.einsum("nmd,nmd->nm", diff, diff)
+        rows = np.arange(stop - start)
+        best = np.argmin(d2, axis=1)
+        winner[start:stop] = best
+        dist[start:stop] = d2[rows, best]
+        if m > 1:
+            d2[rows, best] = np.inf
+            second[start:stop] = np.argmin(d2, axis=1)
+    return winner, second, dist
+
+
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     """Assign every pattern its winner and runner-up against frozen weights.
 
     Pure with respect to both arguments. Winner ties go to the lowest neuron
     index; the runner-up is the best neuron excluding the winner (or -1 for a
-    single-neuron map).
+    single-neuron map). ``dist`` is the squared distance to the winner.
+
+    Exactness: the result is bit-identical to the brute-force search
+    ``_exact_rows`` (squared differences summed over d for every pair).
+    Patterns are scored in blocks of ``max(1, CHUNK // m)`` rows with one
+    GEMM, ``|w|^2 - 2 p.w``; the two best scores are recomputed by the
+    brute-force formula and ordered by (distance, index). A row whose third
+    best score is not clear of the second by twice the rounding bound
+    ``8 (d + 2) eps (|p|^2 + max |w|^2)`` cannot be decided from the scores
+    and is searched by brute force instead, as are all rows of a map with at
+    most two neurons. Working memory beyond the O(n) result is O(chunk * m),
+    at most CHUNK entries per block, never O(n * m * d).
     """
     if data.d != map_state.d:
         raise DataError(f"dataset d={data.d} does not match map d={map_state.d}")
-    diff = data.patterns[:, None, :] - map_state.weights[None, :, :]
-    d2 = np.einsum("nmd,nmd->nm", diff, diff)
-    winner = np.argmin(d2, axis=1)
-    rows = np.arange(data.n)
-    dist = d2[rows, winner].copy()
-    if map_state.m == 1:
-        second = np.full(data.n, -1, dtype=np.int64)
-    else:
-        d2[rows, winner] = np.inf
-        second = np.argmin(d2, axis=1)
-    return Assignment(winner.astype(np.int64), second.astype(np.int64), dist)
+    patterns, weights = data.patterns, map_state.weights
+    n = data.n
+    m, d = weights.shape
+    if m <= 2:
+        return Assignment(*_exact_rows(patterns, weights))
+
+    winner = np.empty(n, dtype=np.int64)
+    second = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    w_sq = np.einsum("md,md->m", weights, weights)
+    w_sq_max = w_sq.max()
+    step = max(1, CHUNK // m)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = patterns[start:stop]
+        rows = np.arange(stop - start)
+
+        # squared distance minus |p|^2, within tol of its true value
+        g = block @ weights.T
+        g *= -2.0
+        g += w_sq
+        a = np.argmin(g, axis=1)
+        g[rows, a] = np.inf
+        b = np.argmin(g, axis=1)
+        g_b = g[rows, b]
+        g[rows, b] = np.inf
+        g_c = g.min(axis=1)
+
+        cand = np.stack([a, b], axis=1)
+        diff = block[:, None, :] - weights[cand]
+        d2 = np.einsum("nmd,nmd->nm", diff, diff)
+        flip = (d2[:, 1] < d2[:, 0]) | ((d2[:, 1] == d2[:, 0]) & (b < a))
+        first = flip.astype(np.intp)
+        winner[start:stop] = cand[rows, first]
+        second[start:stop] = cand[rows, 1 - first]
+        dist[start:stop] = d2[rows, first]
+
+        # tol bounds the score error plus the rounding of the brute-force
+        # sums; _TINY covers products that underflow
+        scale = np.einsum("nd,nd->n", block, block) + w_sq_max
+        tol = 8.0 * (d + 2) * (_EPS * scale + _TINY)
+        slow = np.flatnonzero(~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE)))
+        if slow.size:
+            idx = start + slow
+            winner[idx], second[idx], dist[idx] = _exact_rows(block[slow], weights)
+    return Assignment(winner, second, dist)
 
 
 def win_histogram(assignment: Assignment, m: int) -> np.ndarray:

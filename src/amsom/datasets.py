@@ -26,6 +26,19 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def _is_integer_label(cell: str) -> bool:
+    """True for a cell holding an integer that fits an int64 class id.
+
+    Infinite, NaN and out-of-range numbers are not, so they are read as
+    category names like any other non-integer label.
+    """
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    return value.is_integer() and abs(value) < 2.0**63
+
+
 def load_csv(path, label_column: int | str | None = None) -> Dataset:
     """Load a comma-separated numeric dataset.
 
@@ -33,8 +46,9 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     ``label_column`` selects the class column by 0-based index (negative
     counts from the end) or by header name. Rows with missing values (empty
     cells, NA, ?) are skipped and counted; any other unparseable cell is a
-    hard error reported with its line number. String class labels are mapped
-    to integer ids by sorted value.
+    hard error reported with its line number. Labels that are all integers
+    pass through; otherwise (names, fractions, inf, or integers beyond int64)
+    every distinct label string is mapped to an integer id by sorted value.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -97,7 +111,7 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
 
     labels = None
     if label_idx is not None:
-        if all(_is_float(cell) and float(cell) == int(float(cell)) for cell in raw_labels):
+        if all(_is_integer_label(cell) for cell in raw_labels):
             labels = np.array([int(float(cell)) for cell in raw_labels], dtype=np.int64)
         else:
             mapping = {value: i for i, value in enumerate(sorted(set(raw_labels)))}

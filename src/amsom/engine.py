@@ -232,28 +232,27 @@ def _apply_epoch_edges(map_state: MapState, winners: np.ndarray, seconds: np.nda
     edge ends with the wins of its endpoints after its last refresh.
     """
     m = map_state.m
+    n = len(winners)
     wins = np.bincount(winners, minlength=m).astype(np.int64)
 
-    last_reset: dict[tuple[int, int], int] = {}
-    for idx, (w, s) in enumerate(zip(winners.tolist(), seconds.tolist())):
-        pair = (w, s) if w < s else (s, w)
-        last_reset[pair] = idx
-
-    start_edges = map_state.edges.copy()
     inc = wins[:, None] + wins[None, :]
-    map_state.ages[start_edges] += inc[start_edges]
+    map_state.ages[map_state.edges] += inc[map_state.edges]
 
-    if last_reset:
-        pairs = np.array(list(last_reset.keys()), dtype=np.int64)
-        when = np.array(list(last_reset.values()), dtype=np.int64)
-        onehot = np.zeros((len(winners), m), dtype=np.int64)
-        onehot[np.arange(len(winners)), winners] = 1
-        cum = onehot.cumsum(axis=0)  # wins among patterns 0..idx inclusive
-        a, b = pairs[:, 0], pairs[:, 1]
-        after = (wins[a] - cum[when, a]) + (wins[b] - cum[when, b])
-        map_state.edges[a, b] = map_state.edges[b, a] = True
-        map_state.ages[a, b] = after
-        map_state.ages[b, a] = after
+    # last refresh of each pair: first hit in the reversed presentation order
+    code = np.minimum(winners, seconds) * m + np.maximum(winners, seconds)
+    pair_code, first_from_end = np.unique(code[::-1], return_index=True)
+    when = n - 1 - first_from_end
+    a, b = pair_code // m, pair_code % m
+    # keys order the wins by (neuron, pattern): neuron x's wins after pattern
+    # `when` are its keys above x*n + when, which end at index wins_end[x]
+    keys = np.sort(winners * n + np.arange(n))
+    wins_end = np.cumsum(wins)
+    after = (wins_end[a] - np.searchsorted(keys, a * n + when, side="right")) + (
+        wins_end[b] - np.searchsorted(keys, b * n + when, side="right")
+    )
+    map_state.edges[a, b] = map_state.edges[b, a] = True
+    map_state.ages[a, b] = after
+    map_state.ages[b, a] = after
 
     map_state.win_count += wins
 

@@ -267,4 +267,12 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     assert main(["render", str(out)]) == 2
     out.write_text("{not json")
     assert main(["render", str(out)]) == 2
+
+    # a non-finite numeric label is a class name, not an internal error
+    inf_labels = tmp_path / "inf_labels.csv"
+    inf_labels.write_text(blob_csv.read_text().replace(",2\n", ",inf\n"))
+    assert "inf" in inf_labels.read_text()
+    args = ["train", str(inf_labels), "--label-column", "label", "--out", str(out),
+            "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
+    assert main(args) == 0
     capsys.readouterr()  # keep the error lines out of the test log

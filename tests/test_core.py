@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from amsom import core
 from amsom.core import (
     Assignment,
     Dataset,
     MapState,
+    _exact_rows,
     assign_all,
     mean_quantization_error,
     per_neuron_quantization,
@@ -78,6 +82,134 @@ def test_assign_all_single_neuron_map():
     assert np.array_equal(asg.winner, [0, 0])
     assert np.array_equal(asg.second, [-1, -1])
     assert np.allclose(asg.dist, [1.0, 1.0])
+
+
+def _same_as_exact(asg, patterns, weights):
+    winner, second, dist = _exact_rows(patterns, weights)
+    return (
+        np.array_equal(asg.winner, winner)
+        and np.array_equal(asg.second, second)
+        and asg.dist.tobytes() == dist.tobytes()
+    )
+
+
+def _spy_exact_rows(monkeypatch):
+    """Route assign_all's brute-force fallback through a row counter."""
+    seen = []
+
+    def spy(patterns, weights):
+        seen.append(patterns.shape[0])
+        return _exact_rows(patterns, weights)
+
+    monkeypatch.setattr(core, "_exact_rows", spy)
+    return seen
+
+
+def test_assign_all_near_ties_far_from_the_origin(monkeypatch):
+    # Centres c in [2**19, 2**20) keep c +- 0.5 exact, so a pattern at c is
+    # exactly equidistant from two neurons while their GEMM scores, rounded
+    # near 1e12, rank them either way. Moving the pattern k ulps breaks the
+    # tie by a few ulps, far below the score error.
+    rng = np.random.default_rng(4)
+    e = np.eye(3)
+    k = np.arange(-3, 4)
+    seen = _spy_exact_rows(monkeypatch)
+    for _ in range(12):
+        c = rng.uniform(6e5, 1e6, size=3)
+        ulp = np.spacing(c[0])
+
+        # a two-way tie, clear of every other neuron: the exact recompute of
+        # the shortlist decides it, and an exact tie goes to the lower index
+        weights = c + np.vstack([10 * e[1], -0.5 * e[0], 0.5 * e[0], 5 * e[2]])
+        patterns = c + np.outer(k * ulp, e[0])
+        asg = assign_all(Dataset(patterns), make_map(weights))
+        assert _same_as_exact(asg, patterns, weights)
+        assert np.array_equal(asg.winner, np.where(k > 0, 2, 1))
+        assert np.array_equal(asg.second, np.where(k > 0, 1, 2))
+        assert np.all(asg.dist[k == 0] == 0.25)
+        assert seen == []
+
+        # four neurons within ulps of each other: the scores cannot rank them
+        weights = c + np.vstack([-0.5 * e[0], 0.5 * e[0], 0.5 * e[1], -0.5 * e[1], 7 * e[2]])
+        shift = rng.integers(-3, 4, size=(10, 2)) * ulp
+        patterns = c + np.column_stack([shift, np.zeros(10)])
+        asg = assign_all(Dataset(patterns), make_map(weights))
+        assert _same_as_exact(asg, patterns, weights)
+        assert seen == [10]
+        seen.clear()
+
+
+def test_assign_all_duplicated_neurons_take_the_fallback(monkeypatch):
+    # three copies of neuron 0 tie on their score, so the third-best score is
+    # never clear of the second and those rows are searched by brute force;
+    # the last pattern, far from the copies, is decided by its scores
+    rng = np.random.default_rng(8)
+    copy = [1.0, 2.0, 3.0]
+    weights = np.array([copy, [100.0, 0, 0], copy, [101.0, 0, 0], [100.0, 2.0, 0], copy])
+    patterns = np.vstack([weights[0] + rng.normal(size=(7, 3)) * 0.01, weights[1]])
+    seen = _spy_exact_rows(monkeypatch)
+    asg = assign_all(Dataset(patterns), make_map(weights))
+    assert seen == [7]
+    assert _same_as_exact(asg, patterns, weights)
+    assert np.array_equal(asg.winner, [0] * 7 + [1])
+    assert np.array_equal(asg.second[:7], [2] * 7)
+
+
+@pytest.mark.parametrize("chunk", [1, 21])
+def test_assign_all_across_chunk_boundaries(monkeypatch, chunk):
+    # m = 7: chunks of 1 or 3 rows, and n = 16 leaves a last chunk of one row
+    rng = np.random.default_rng(12)
+    patterns = rng.normal(size=(16, 3))
+    weights = rng.normal(size=(7, 3))
+    weights[4] = weights[1]
+    winner, second, dist = _exact_rows(patterns, weights)
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    asg = assign_all(Dataset(patterns), make_map(weights))
+    assert np.array_equal(asg.winner, winner)
+    assert np.array_equal(asg.second, second)
+    assert asg.dist.tobytes() == dist.tobytes()
+
+
+def test_assign_all_equals_brute_force_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(1, 30),
+        d=st.integers(1, 6),
+        log_scale=st.floats(-3, 3),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e4, 1e6]),
+        duplicates=st.integers(0, 5),
+        rounded=st.booleans(),
+    )
+    def check(seed, n, m, d, log_scale, offset, duplicates, rounded):
+        rng = np.random.default_rng(seed)
+        patterns = rng.normal(size=(n, d)) * 10.0**log_scale + offset
+        weights = rng.normal(size=(m, d)) * 10.0**log_scale + offset
+        weights[rng.integers(0, m, size=duplicates)] = weights[rng.integers(0, m)]
+        if rounded:
+            patterns, weights = np.round(patterns), np.round(weights)
+        asg = assign_all(Dataset(patterns), make_map(weights))
+        assert _same_as_exact(asg, patterns, weights)
+
+    check()
+
+
+def test_assign_all_memory_is_bounded_by_the_chunk():
+    # the brute-force search would need an n*m*d temporary of 1.8 GB here
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.normal(size=(20000, 16)))
+    ms = make_map(rng.normal(size=(707, 16)))
+    tracemalloc.start()
+    try:
+        assign_all(data, ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_assign_all_dimension_mismatch():

@@ -77,6 +77,13 @@ def test_load_csv_integer_valued_labels_pass_through(tmp_path):
     assert np.array_equal(data.labels, [2, 0])
 
 
+def test_load_csv_non_finite_labels_are_category_names(tmp_path):
+    # float('inf') cannot become an int; such labels are names, sorted as strings
+    path = _write(tmp_path, "1,2,inf\n3,4,1\n5,6,1e400\n7,8,-inf\n9,10,1e300\n")
+    data = load_csv(path, label_column=2)
+    assert np.array_equal(data.labels, [4, 1, 3, 0, 2])
+
+
 def test_iris_fixture_file(iris):
     assert iris.n == 150 and iris.d == 4
     assert np.array_equal(np.bincount(iris.labels), [50, 50, 50])

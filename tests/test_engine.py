@@ -235,10 +235,12 @@ def test_edge_refresh_rejects_equal_winner_and_second():
 
 def test_epoch_edge_batch_matches_sequential_presentation():
     # the vectorized epoch update must be bit-identical to presenting the
-    # patterns one at a time
+    # patterns one at a time, from a graph that already has aged edges; half
+    # the epochs draw from a few pairs, so most pairs refresh many times
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        m = int(rng.integers(4, 9))
+    repeats = 0
+    for trial in range(80):
+        m = int(rng.integers(3, 30))
         upper = np.triu(rng.random((m, m)) < 0.4, 1)
         ages_u = np.triu(rng.integers(0, 20, size=(m, m)), 1) * upper
         base = make_map(rng.normal(size=(m, 2)))
@@ -246,10 +248,17 @@ def test_epoch_edge_batch_matches_sequential_presentation():
         base.ages = (ages_u + ages_u.T).astype(np.int64)
         base.win_count = rng.integers(0, 5, size=m)
 
-        n_pat = int(rng.integers(1, 40))
+        n_pat = int(rng.integers(1, 300))
         winners = rng.integers(0, m, size=n_pat)
         seconds = (winners + 1 + rng.integers(0, m - 1, size=n_pat)) % m
+        if trial % 2:
+            pick = rng.integers(0, int(rng.integers(1, 6)), size=n_pat)
+            winners, seconds = winners[pick], seconds[pick]
+            flip = rng.random(n_pat) < 0.5  # the same pair in either order
+            winners, seconds = np.where(flip, seconds, winners), np.where(flip, winners, seconds)
         assert np.all(winners != seconds)
+        pairs = np.unique(np.minimum(winners, seconds) * m + np.maximum(winners, seconds))
+        repeats += n_pat - pairs.size
 
         seq = base.copy()
         for w, s in zip(winners, seconds):
@@ -260,6 +269,7 @@ def test_epoch_edge_batch_matches_sequential_presentation():
         assert np.array_equal(seq.edges, bat.edges)
         assert np.array_equal(seq.ages, bat.ages)
         assert np.array_equal(seq.win_count, bat.win_count)
+    assert repeats > 1000
 
 
 # ----------------------------------------------------------- pruning

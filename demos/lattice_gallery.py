@@ -42,7 +42,7 @@ for name, data in (("round", round_cloud), ("stretched", long_cloud)):
 
 # --- Draw the two packings ---
 rect = build_lattice(LatticeSpec(6, 9))
-hexa = build_lattice(LatticeSpec(6, 9, topology=HEXAGONAL, q_max=6))
+hexa = build_lattice(LatticeSpec(6, 9, topology=HEXAGONAL))
 render_svg(rect, OUT / "lattice_rect.svg")
 render_svg(hexa, OUT / "lattice_hex.svg")
 print(f"rectangular 6x9: {rect.m} neurons, max degree {rect.degrees().max()}")

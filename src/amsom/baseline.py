@@ -8,14 +8,7 @@ no position updates, no edge aging, no neuron addition or removal.
 from __future__ import annotations
 
 from .core import Dataset, MapState, assign_all, win_histogram
-from .engine import (
-    TrainConfig,
-    _resolve_sigma0,
-    _run_epochs,
-    _SigmaSchedule,
-    batch_weight_update,
-)
-from .errors import TrainingError
+from .engine import TrainConfig, _run_epochs, _SigmaSchedule, batch_weight_update
 
 
 def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
@@ -29,9 +22,7 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
     schedule's late retargeting aims at sigma_final itself.
     """
     config.validate()
-    if data.d != map_state.d:
-        raise TrainingError(f"map d={map_state.d} does not match data d={data.d}")
-    schedule = _SigmaSchedule(config, _resolve_sigma0(config, map_state))
+    schedule = _SigmaSchedule(config, map_state)
 
     def step(epoch, asg):
         sigma, _ = schedule.step(epoch, map_state)

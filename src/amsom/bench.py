@@ -14,7 +14,7 @@ import numpy as np
 
 from .baseline import train_batch_som
 from .core import Dataset
-from .datasets import generate_cluster_dataset, load_csv, split_dataset
+from .datasets import check_split_fractions, generate_cluster_dataset, load_csv, split_dataset
 from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
@@ -57,11 +57,7 @@ class ExperimentSpec:
             raise ConfigError("experiment needs a dataset path or generator id")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
-        fracs = (self.train_frac, self.test_frac, self.val_frac)
-        if any(f <= 0.0 for f in fracs):
-            raise ConfigError(f"split fractions must all be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+        check_split_fractions((self.train_frac, self.test_frac, self.val_frac))
         self.config.validate()
 
 
@@ -70,6 +66,16 @@ def load_dataset(name: str, label_column=None, seed: int = 0) -> Dataset:
     if name == "cluster":
         return generate_cluster_dataset(seed)
     return load_csv(name, label_column=label_column)
+
+
+def parse_label_column(raw: str) -> int | str | None:
+    """A label column as written in a spec file or on the command line: an
+    integer is a 0-based index, "none" or "null" means no label column, and
+    anything else is a header name."""
+    try:
+        return int(raw)
+    except ValueError:
+        return None if raw.lower() in ("none", "null") else raw
 
 
 def _parse_scalar(raw: str, type_hint: str):
@@ -134,10 +140,7 @@ def experiment_spec_from_file(path) -> ExperimentSpec:
     config_values = {}
     for key, raw in values.items():
         if key == "label_column":
-            try:
-                spec_kwargs[key] = int(raw)
-            except ValueError:
-                spec_kwargs[key] = None if raw.lower() in ("none", "null") else raw
+            spec_kwargs[key] = parse_label_column(raw)
         elif key in _SPEC_FIELDS:
             try:
                 spec_kwargs[key] = _parse_scalar(raw, str(_SPEC_FIELDS[key].type))

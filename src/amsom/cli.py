@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    ExperimentSpec,
     apply_config_values,
     experiment_spec_from_file,
     load_dataset,
+    parse_label_column,
     read_config_file,
     run_experiment,
 )
@@ -39,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="flat key = value config file")
     p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a single config field (repeatable)")
-    p_train.add_argument("--label-column", default=None,
-                         help="class column, by 0-based index or header name")
+    p_train.add_argument("--label-column", default=None, type=parse_label_column,
+                         help="class column, by 0-based index or header name; 'none' for no labels")
     p_train.add_argument("--out", default="map.json", help="snapshot output path")
 
     p_bench = sub.add_parser("bench", help="run a full benchmark experiment")
@@ -53,30 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_label_column(raw):
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
 def _cmd_train(args) -> int:
-    config = TrainConfig()
-    if args.config:
-        config = apply_config_values(read_config_file(args.config), config)
-    overrides = {}
+    values = read_config_file(args.config) if args.config else {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if overrides:
-        config = apply_config_values(overrides, config)
+        values[key.strip()] = value.strip()
+    config = apply_config_values(values, TrainConfig())
     config.validate()
 
-    data = load_dataset(args.dataset, _parse_label_column(args.label_column), seed=config.seed)
+    data = load_dataset(args.dataset, args.label_column, seed=config.seed)
     map_state, cfg = create_initial_map(data, config)
     initial_m = map_state.m
     _, train_reports = train(data, map_state, cfg)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -141,21 +142,28 @@ def generate_cluster_dataset(seed) -> Dataset:
     return Dataset(patterns, labels)
 
 
-def split_dataset(data: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
-    """Shuffle and cut into train/test/validation parts.
-
-    ``fractions`` are three positive numbers summing to one; sizes are the
-    rounded first two fractions with the remainder going to validation. Any
-    empty part is an error. No stratification: just a seeded permutation and
-    contiguous slices.
-    """
+def check_split_fractions(fractions) -> tuple[float, float, float]:
+    """Return train/test/validation fractions as floats, or raise ConfigError
+    unless they are three finite positive numbers summing to one."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3:
         raise ConfigError("need exactly three split fractions")
-    if any(f <= 0.0 for f in fractions):
-        raise ConfigError(f"split fractions must all be positive, got {fractions}")
+    if not all(math.isfinite(f) and f > 0.0 for f in fractions):
+        raise ConfigError(f"split fractions must be finite and positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")
+    return fractions
+
+
+def split_dataset(data: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
+    """Shuffle and cut into train/test/validation parts.
+
+    ``fractions`` pass ``check_split_fractions``; sizes are the rounded first
+    two fractions with the remainder going to validation. Any empty part is
+    an error. No stratification: just a seeded permutation and contiguous
+    slices.
+    """
+    fractions = check_split_fractions(fractions)
 
     n = data.n
     n_train = int(round(fractions[0] * n))

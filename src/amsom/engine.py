@@ -11,7 +11,8 @@ immediate graph neighborhood only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .core import (
     winner_means,
 )
 from .errors import ConfigError, MapStructureError, TrainingError
-from .grid import HEXAGONAL, RECTANGULAR, growing_threshold
+from .grid import MAX_DEGREE, RECTANGULAR, growing_threshold, initial_sigma
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,13 @@ class TrainConfig:
     position rate 0.01 (annealed with the neighborhood width), smoothing rate
     0.001, edge age cutoff 30, at least 30 epochs between splits, epoch caps
     1000 (training) and 500 (smoothing), termination thresholds 1e-6 and
-    1e-10. sigma0=None resolves to max(rows, cols)/2 of the initial lattice;
-    sigma decays exponentially over sigma_decay_epochs and is then held
-    (max_epochs remains the hard stop). The decay aims at sigma_final; once
-    the layout freezes, the remaining decay is retargeted at the map's own
-    cell width, which on an undeformed lattice is sigma_final itself.
+    1e-10. sigma0=None resolves through ``grid.initial_sigma``: half the
+    larger extent of the initial layout plus one cell, at least sigma_final
+    (max(rows, cols)/2 on a rectangular lattice). Sigma decays exponentially
+    over sigma_decay_epochs and is then held (max_epochs remains the hard
+    stop). The decay aims at sigma_final; once the layout freezes, the
+    remaining decay is retargeted at the map's own cell width, which on an
+    undeformed lattice is sigma_final itself.
     """
 
     sf: float = 0.5
@@ -63,6 +66,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.sf < 1.0:
             raise ConfigError(f"sf must be in (0, 1), got {self.sf}")
         if self.gamma <= 0.0:
@@ -85,7 +92,7 @@ class TrainConfig:
             raise ConfigError("sigma0 must be >= sigma_final")
         if self.sigma_decay_epochs < 1:
             raise ConfigError("sigma_decay_epochs must be at least 1")
-        if self.topology not in (RECTANGULAR, HEXAGONAL):
+        if self.topology not in MAX_DEGREE:
             raise ConfigError(f"unknown topology {self.topology!r}")
         if self.q_max is not None and self.q_max < 1:
             raise ConfigError("q_max must be at least 1")
@@ -98,14 +105,13 @@ class TrainConfig:
     def effective_q(self) -> int:
         if self.q_max is not None:
             return self.q_max
-        return 4 if self.topology == RECTANGULAR else 6
+        return MAX_DEGREE[self.topology]
 
 
 @dataclass
 class EpochReport:
     """What one epoch did: error level and structural events.
 
-    ``per_neuron_qe`` uses NaN as the marker for neurons that won nothing.
     Events are dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
     "neuron_removed", "neuron_split", "removal_skipped"); indices refer to the
     map as it stood when the event happened.
@@ -113,7 +119,6 @@ class EpochReport:
 
     epoch: int
     mqe: float
-    per_neuron_qe: np.ndarray
     events: list = field(default_factory=list)
 
 
@@ -383,13 +388,6 @@ def enforce_degree(map_state: MapState, q: int) -> list:
     return events
 
 
-def _resolve_sigma0(config: TrainConfig, map_state: MapState) -> float:
-    if config.sigma0 is not None:
-        return float(config.sigma0)
-    span = float(np.ptp(map_state.positions, axis=0).max())
-    return max((span + 1.0) / 2.0, config.sigma_final)
-
-
 def _sigma_at(config: TrainConfig, sigma0: float, epoch: int) -> float:
     h = config.sigma_decay_epochs
     u = min(epoch, h) / h
@@ -445,12 +443,13 @@ class _SigmaSchedule:
     and eased so the per-epoch sigma change vanishes at the decay horizon.
     A map that never moved (the baseline lattice) has cell width exactly
     sigma_final, so both trainers run the same shape of schedule and land
-    on the same final sigma.
+    on the same final sigma. Starts from ``initial_sigma`` of the map as
+    the run begins.
     """
 
-    def __init__(self, config: TrainConfig, sigma0: float):
+    def __init__(self, config: TrainConfig, map_state: MapState):
         self.config = config
-        self.sigma0 = sigma0
+        self.sigma0 = initial_sigma(config, map_state)
         self.tail_start = None
         self.tail_sigma = None
         self.target = None
@@ -499,7 +498,7 @@ def _run_epochs(data: Dataset, map_state: MapState, max_epochs: int, eps: float,
         if not np.isfinite(mqe):
             raise TrainingError(f"non-finite mqe at epoch {epoch}")
 
-        report = EpochReport(epoch, mqe, per_neuron_quantization(asg, map_state.m), events)
+        report = EpochReport(epoch, mqe, events)
         reports.append(report)
         if progress is not None:
             progress(report)
@@ -523,15 +522,12 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     config.validate()
     if map_state.m < 2:
         raise MapStructureError("training needs at least 2 neurons")
-    if data.d != map_state.d:
-        raise MapStructureError(f"map d={map_state.d} does not match data d={data.d}")
     gt = growing_threshold(data.d, config.sf)
     q = config.effective_q
-    sigma0 = _resolve_sigma0(config, map_state)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 1]))
 
     epochs_since_add = 0
-    schedule = _SigmaSchedule(config, sigma0)
+    schedule = _SigmaSchedule(config, map_state)
 
     def step(epoch, asg):
         nonlocal epochs_since_add
@@ -582,8 +578,6 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     config.validate()
     if map_state.m < 2:
         raise MapStructureError("smoothing needs at least 2 neurons")
-    if data.d != map_state.d:
-        raise MapStructureError(f"map d={map_state.d} does not match data d={data.d}")
 
     mask = map_state.edges | np.eye(map_state.m, dtype=bool)
     sigma = _cell_width_sigma(map_state, config)

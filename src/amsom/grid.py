@@ -19,6 +19,10 @@ from .errors import ConfigError, DataError
 RECTANGULAR = "rectangular"
 HEXAGONAL = "hexagonal"
 
+# Connectivity of each lattice topology; it caps every neuron's degree for
+# the rest of training unless the config sets its own q_max.
+MAX_DEGREE = {RECTANGULAR: 4, HEXAGONAL: 6}
+
 # Cap on lambda1/lambda2 so a near-singular covariance cannot demand an
 # absurdly elongated grid.
 EIGEN_RATIO_CAP = 10.0
@@ -26,21 +30,17 @@ EIGEN_RATIO_CAP = 10.0
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Shape of an initial lattice: rows x cols, topology and max degree."""
+    """Shape of an initial lattice: rows x cols and topology."""
 
     rows: int
     cols: int
     topology: str = RECTANGULAR
-    q_max: int = 4
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise ConfigError("lattice needs at least two neurons")
-        if self.topology not in (RECTANGULAR, HEXAGONAL):
+        if self.topology not in MAX_DEGREE:
             raise ConfigError(f"unknown topology {self.topology!r}")
-        expected = 4 if self.topology == RECTANGULAR else 6
-        if self.q_max != expected:
-            raise ConfigError(f"{self.topology} topology implies q_max={expected}")
 
 
 def target_neuron_count(n: int) -> int:
@@ -162,11 +162,21 @@ def init_weights(map_state: MapState, data: Dataset, seed) -> MapState:
 
 def growing_threshold(d: int, sf: float) -> float:
     """Split threshold GT = -ln(d) * ln(sf) for dimension d and spread factor sf."""
-    if d < 2:
-        raise ConfigError("growing threshold needs at least 2 features")
+    if d < 2:  # a fault of the data: no config value can fix it
+        raise DataError("growing threshold needs at least 2 features")
     if not 0.0 < sf < 1.0:
         raise ConfigError(f"spread factor must be in (0, 1), got {sf}")
     return -math.log(d) * math.log(sf)
+
+
+def initial_sigma(config, map_state: MapState) -> float:
+    """The neighborhood width a run starts from: ``config.sigma0`` when set,
+    else half the larger extent of the layout plus one cell, at least
+    ``sigma_final`` (max(rows, cols)/2 on a rectangular lattice)."""
+    if config.sigma0 is not None:
+        return float(config.sigma0)
+    span = float(np.ptp(map_state.positions, axis=0).max())
+    return max((span + 1.0) / 2.0, config.sigma_final)
 
 
 def create_initial_map(data: Dataset, config, sizing: Dataset | None = None):
@@ -175,15 +185,14 @@ def create_initial_map(data: Dataset, config, sizing: Dataset | None = None):
     ``sizing`` optionally supplies the dataset used for the neuron budget and
     aspect-ratio heuristics (e.g. the full dataset when training on a split);
     weight ranges always come from ``data``. Returns the map plus a config
-    copy with sigma0 resolved to max(rows, cols)/2 when it was unset.
+    copy with sigma0 resolved by ``initial_sigma`` when it was unset.
     """
     config.validate()
     src = sizing if sizing is not None else data
     target = target_neuron_count(src.n)
     rows, cols = side_lengths(src, target)
-    spec = LatticeSpec(rows, cols, config.topology, 4 if config.topology == RECTANGULAR else 6)
-    map_state = build_lattice(spec)
+    map_state = build_lattice(LatticeSpec(rows, cols, config.topology))
     init_weights(map_state, data, np.random.SeedSequence([int(config.seed), 0]))
     if config.sigma0 is None:
-        config = replace(config, sigma0=max(rows, cols) / 2.0)
+        config = replace(config, sigma0=initial_sigma(config, map_state))
     return map_state, config

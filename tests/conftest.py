@@ -34,6 +34,11 @@ def make_map(weights, positions=None, edges=(), win_count=None):
     return MapState(w, r, e, a, wc)
 
 
+def assert_same_map(a, b):
+    for attr in ("weights", "positions", "edges", "ages", "win_count"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr))
+
+
 @pytest.fixture(scope="session")
 def iris():
     return load_csv(IRIS_CSV, label_column="species")

@@ -4,10 +4,10 @@ import pytest
 from amsom.baseline import train_batch_som
 from amsom.core import Dataset
 from amsom.engine import TrainConfig
-from amsom.errors import TrainingError
+from amsom.errors import DataError
 from amsom.grid import LatticeSpec, build_lattice, init_weights
 
-from conftest import make_map
+from conftest import assert_same_map, make_map
 
 
 def test_single_neuron_epoch_is_the_global_mean():
@@ -82,6 +82,8 @@ def test_baseline_is_deterministic():
 
 def test_baseline_rejects_dimension_mismatch():
     data = Dataset([[1.0, 2.0, 3.0]])
-    ms = make_map(np.zeros((2, 2)))
-    with pytest.raises(TrainingError):
+    ms = make_map([[0.5, 1.0], [2.0, -1.0]], edges=[(0, 1, 4)])
+    before = ms.copy()
+    with pytest.raises(DataError, match="does not match"):
         train_batch_som(data, ms, TrainConfig())
+    assert_same_map(ms, before)

@@ -17,6 +17,8 @@ from amsom.engine import TrainConfig
 from amsom.errors import ConfigError
 from amsom.snapshot import load_snapshot
 
+from conftest import IRIS_CSV
+
 
 @pytest.fixture()
 def blob_csv(tmp_path):
@@ -105,6 +107,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(dataset="x.csv", runs=0).validate()
     with pytest.raises(ConfigError):
         ExperimentSpec(dataset="x.csv", train_frac=0.9, test_frac=0.2, val_frac=0.2).validate()
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentSpec(dataset="x.csv", train_frac=float("nan")).validate()
 
 
 def test_load_dataset_generator_id():
@@ -249,6 +253,17 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     spec = tmp_path / "bad.cfg"
     spec.write_text("runs = 1\n")
     assert main(["bench", str(spec)]) == 1
+    # a NaN split fraction is a config error, not a failed integer cast
+    spec.write_text(f"dataset = {blob_csv}\nruns = 1\ntrain_frac = nan\n")
+    assert main(["bench", str(spec)]) == 1
+
+    # non-finite config values are rejected, not trained into a degenerate map
+    assert main(["train", str(blob_csv), "--set", "gamma=nan"]) == 1
+
+    # 1-D data is a data fault: no config value can fix it
+    one_column = tmp_path / "one_column.csv"
+    one_column.write_text("\n".join(str(v) for v in range(20)) + "\n")
+    assert main(["train", str(one_column), "--out", str(tmp_path / "one.json")]) == 2
 
     # a structurally broken snapshot is malformed input data
     out = tmp_path / "map.json"
@@ -276,3 +291,29 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
             "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
     assert main(args) == 0
     capsys.readouterr()  # keep the error lines out of the test log
+
+
+def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):
+    # with sigma0 unset the start width is clamped at sigma_final, so a wide
+    # sigma_final on its own is a valid config
+    out = tmp_path / "map.json"
+    code = main(["train", str(IRIS_CSV), "--label-column", "species",
+                 "--set", "sigma_final=8", "--out", str(out)])
+    assert code == 0
+    _, payload = load_snapshot(out)
+    assert payload["config"]["sigma0"] == payload["config"]["sigma_final"] == 8.0
+
+
+def test_cli_label_column_none_means_no_labels(blob_csv, tmp_path):
+    # the command line reads a label column the way a spec file does
+    out = tmp_path / "map.json"
+    args = ["train", str(blob_csv), "--out", str(out),
+            "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
+    assert main(args + ["--label-column", "none"]) == 0
+    _, payload = load_snapshot(out)
+    assert payload["neuron_labels"] is None
+    assert len(payload["weights"][0]) == 3  # the label column is a feature
+    assert main(args + ["--label-column", "2"]) == 0
+    _, payload = load_snapshot(out)
+    assert payload["neuron_labels"] is not None
+    assert len(payload["weights"][0]) == 2

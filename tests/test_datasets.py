@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from amsom.core import Dataset
 from amsom.datasets import (
     CLUSTER_CENTERS,
+    check_split_fractions,
     generate_cluster_dataset,
     load_csv,
     split_dataset,
@@ -138,3 +141,13 @@ def test_split_dataset_rejects_bad_fractions():
     with pytest.raises(ConfigError):
         # rounds to an empty validation part
         split_dataset(Dataset(np.arange(6.0).reshape(3, 2)), (0.9, 0.05, 0.05), seed=0)
+
+
+def test_split_fractions_must_be_finite():
+    # NaN passes every comparison-based range check, so it needs its own
+    for bad in [(math.nan, 0.2, 0.2), (0.6, math.inf, 0.2), (math.inf, -math.inf, 1.0)]:
+        with pytest.raises(ConfigError, match="finite"):
+            check_split_fractions(bad)
+        with pytest.raises(ConfigError, match="finite"):
+            split_dataset(Dataset(np.arange(20.0).reshape(10, 2)), bad, seed=0)
+    assert check_split_fractions(["0.6", 0.2, 0.2]) == (0.6, 0.2, 0.2)

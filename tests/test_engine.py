@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amsom.baseline import train_batch_som
-from amsom.core import Dataset, assign_all, mean_quantization_error, per_neuron_quantization
+from amsom.core import Dataset, assign_all, mean_quantization_error
 from amsom.engine import (
     TrainConfig,
     _apply_epoch_edges,
@@ -23,10 +23,17 @@ from amsom.engine import (
     smooth,
     train,
 )
-from amsom.errors import ConfigError, MapStructureError
-from amsom.grid import LatticeSpec, build_lattice, create_initial_map, init_weights
+from amsom.errors import ConfigError, DataError, MapStructureError
+from amsom.grid import (
+    HEXAGONAL,
+    RECTANGULAR,
+    LatticeSpec,
+    build_lattice,
+    create_initial_map,
+    init_weights,
+)
 
-from conftest import make_map
+from conftest import assert_same_map, make_map
 
 
 # ---------------------------------------------------------------- kernels
@@ -487,7 +494,7 @@ def test_cell_width_tracks_the_layout():
 def test_schedule_is_exponential_until_positions_freeze():
     cfg = TrainConfig(sigma0=5.0, sigma_final=1.0, sigma_decay_epochs=20)
     ms = build_lattice(LatticeSpec(5, 5))
-    sched = _SigmaSchedule(cfg, 5.0)
+    sched = _SigmaSchedule(cfg, ms)
     frozen_at = None
     sigmas = []
     for epoch in range(1, 31):
@@ -515,10 +522,72 @@ def test_schedule_tail_lands_on_the_contracted_cell_width():
     cfg = TrainConfig(sigma0=5.0, sigma_final=1.0, sigma_decay_epochs=20)
     ms = build_lattice(LatticeSpec(5, 5))
     ms.positions = ms.positions * 0.55
-    sched = _SigmaSchedule(cfg, 5.0)
+    sched = _SigmaSchedule(cfg, ms)
     for epoch in range(1, 26):
         sigma, _ = sched.step(epoch, ms)
     assert sigma == pytest.approx(0.55, abs=1e-12)
+
+
+@pytest.mark.parametrize("topology", [RECTANGULAR, HEXAGONAL])
+def test_initial_map_sigma0_is_the_one_train_resolves(iris, topology):
+    # create_initial_map and a run started with sigma0 unset agree on sigma0
+    ms, cfg = create_initial_map(iris, TrainConfig(seed=2, topology=topology, max_epochs=3))
+    resolved, _ = train(iris, ms.copy(), cfg)
+    from_unset, _ = train(iris, ms.copy(), replace(cfg, sigma0=None))
+    assert_same_map(resolved, from_unset)
+
+
+def test_structural_steps_keep_the_invariants_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 30),
+        density=st.floats(0.0, 1.0),
+        topology=st.sampled_from([RECTANGULAR, HEXAGONAL]),
+        q_max=st.sampled_from([None, 1, 2, 3]),
+        age_max=st.integers(1, 12),
+    )
+    def check(seed, m, density, topology, q_max, age_max):
+        rng = np.random.default_rng(seed)
+        q = TrainConfig(topology=topology, q_max=q_max).effective_q
+        edges = np.triu(rng.random((m, m)) < density, 1)
+        edges |= edges.T
+        ages = np.triu(rng.integers(0, 15, size=(m, m)), 1)
+        ages = np.where(edges, ages + ages.T, 0)
+        ms = make_map(rng.normal(size=(m, 3)), positions=rng.normal(size=(m, 2)))
+        ms.edges, ms.ages = edges, ages
+        ms.win_count = rng.integers(0, 9, size=m)
+        ms.validate()
+
+        # the degree cap brings any map under q
+        enforce_degree(ms, q)
+        ms.validate(q_max=q)
+        assert ms.m >= 2
+
+        pruned = ms.copy()
+        prune_edges_and_neurons(pruned, age_max)
+        pruned.validate(q_max=q)
+        assert pruned.m >= 2
+        # exactly the aged edges go; removed neurons were isolated
+        assert pruned.edges.sum() == (ms.edges & (ms.ages < age_max)).sum()
+        assert not np.any(pruned.ages[pruned.edges] >= age_max)
+
+        # a split adds one edge to the parent and each of its neighbors, so
+        # it can lift a degree to q + 1; train caps the degree right after it
+        pnqe = rng.uniform(0.0, 2.0, size=ms.m)
+        pnqe[rng.random(ms.m) < 0.3] = np.nan
+        m_before = ms.m
+        maybe_add_neuron(ms, pnqe, 0.5, 30, 30, rng)
+        ms.validate(q_max=q + 1)
+        assert ms.m in (m_before, m_before + 1)
+        enforce_degree(ms, q)
+        ms.validate(q_max=q)
+        assert ms.m >= 2
+
+    check()
 
 
 # ----------------------------------------------------------- whole phases
@@ -608,8 +677,12 @@ def test_train_input_checks():
     data = Dataset(rng.normal(size=(10, 2)))
     with pytest.raises(MapStructureError):
         train(data, make_map([[0.0, 0.0]]), TrainConfig())
-    with pytest.raises(MapStructureError):
-        train(data, make_map(np.zeros((3, 5))), TrainConfig())
+    # a dimension mismatch is a data fault, raised before the map changes
+    ms = make_map(rng.normal(size=(3, 5)), edges=[(0, 1, 2), (1, 2, 0)])
+    before = ms.copy()
+    with pytest.raises(DataError, match="does not match"):
+        train(data, ms, TrainConfig())
+    assert_same_map(ms, before)
     with pytest.raises(ConfigError):
         train(data, make_map(np.zeros((3, 2))), TrainConfig(sf=2.0))
 
@@ -629,9 +702,7 @@ def test_carried_assignment_matches_a_fresh_one(trainer):
         train(data, ms, cfg)
 
     def check(report):
-        fresh = assign_all(data, ms)
-        assert report.mqe == mean_quantization_error(fresh)
-        np.testing.assert_array_equal(report.per_neuron_qe, per_neuron_quantization(fresh, ms.m))
+        assert report.mqe == mean_quantization_error(assign_all(data, ms))
 
     run = {"train": train, "smooth": smooth, "train_batch_som": train_batch_som}[trainer]
     _, reports = run(data, ms, cfg, progress=check)
@@ -674,8 +745,11 @@ def test_smooth_input_checks():
     data = Dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(MapStructureError):
         smooth(data, make_map([[0.0, 0.0]]), TrainConfig())
-    with pytest.raises(MapStructureError):
-        smooth(data, make_map(np.zeros((3, 4))), TrainConfig())
+    ms = make_map(np.arange(12.0).reshape(3, 4), edges=[(0, 1, 3), (1, 2, 1)])
+    before = ms.copy()
+    with pytest.raises(DataError, match="does not match"):
+        smooth(data, ms, TrainConfig())
+    assert_same_map(ms, before)
 
 
 def test_config_validation_rejects_bad_values():
@@ -698,6 +772,19 @@ def test_config_validation_rejects_bad_values():
         dict(q_max=0),
         dict(beta_mode="uniform"),
         dict(seed=-1),
+        # every comparison with NaN is false, so non-finite values need
+        # their own check
+        dict(gamma=math.nan),
+        dict(gamma=math.inf),
+        dict(sf=math.nan),
+        dict(alpha_train=math.nan),
+        dict(eps1=math.inf),
+        dict(eps2=math.nan),
+        dict(sigma_final=math.nan),
+        dict(sigma_final=math.inf),
+        dict(sigma0=math.nan),
+        dict(sigma0=math.inf),
+        dict(max_epochs=math.nan),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

@@ -8,6 +8,8 @@ from amsom.engine import TrainConfig
 from amsom.errors import ConfigError, DataError
 from amsom.grid import (
     HEXAGONAL,
+    MAX_DEGREE,
+    RECTANGULAR,
     LatticeSpec,
     _best_side_pair,
     build_lattice,
@@ -78,11 +80,7 @@ def test_lattice_spec_validation():
     with pytest.raises(ConfigError):
         LatticeSpec(1, 1)
     with pytest.raises(ConfigError):
-        LatticeSpec(3, 3, topology="triangular", q_max=3)
-    with pytest.raises(ConfigError):
-        LatticeSpec(3, 3, q_max=6)  # rectangular implies 4
-    with pytest.raises(ConfigError):
-        LatticeSpec(3, 3, topology=HEXAGONAL, q_max=4)
+        LatticeSpec(3, 3, topology="triangular")
 
 
 def test_rectangular_lattice_geometry():
@@ -92,7 +90,7 @@ def test_rectangular_lattice_geometry():
     assert int(np.triu(ms.edges, 1).sum()) == 12
     deg = np.sort(ms.degrees())
     assert np.array_equal(deg, [2, 2, 2, 2, 3, 3, 3, 3, 4])
-    ms.validate(q_max=4, allow_isolated=False)
+    ms.validate(q_max=MAX_DEGREE[RECTANGULAR], allow_isolated=False)
 
 
 def test_rectangular_edge_count_formula():
@@ -106,7 +104,7 @@ def test_rectangular_edge_count_formula():
 
 
 def test_hexagonal_lattice_geometry():
-    ms = build_lattice(LatticeSpec(3, 4, topology=HEXAGONAL, q_max=6))
+    ms = build_lattice(LatticeSpec(3, 4, topology=HEXAGONAL))
     assert ms.m == 12
     # odd rows shift right by half a cell, vertical spacing sqrt(3)/2
     assert np.allclose(ms.positions[4], [0.5, math.sqrt(3.0) / 2.0])
@@ -115,8 +113,8 @@ def test_hexagonal_lattice_geometry():
     assert i.size == 23  # 9 horizontal + 8 vertical + 6 diagonal
     lengths = np.linalg.norm(ms.positions[i] - ms.positions[j], axis=1)
     assert np.max(np.abs(lengths - 1.0)) < 1e-12
-    assert ms.degrees().max() == 6
-    ms.validate(q_max=6, allow_isolated=False)
+    assert ms.degrees().max() == MAX_DEGREE[HEXAGONAL]
+    ms.validate(q_max=MAX_DEGREE[HEXAGONAL], allow_isolated=False)
 
 
 def test_init_weights_ranges_and_determinism():
@@ -140,7 +138,7 @@ def test_init_weights_ranges_and_determinism():
 def test_growing_threshold():
     assert growing_threshold(4, 0.5) == pytest.approx(0.9609060278364028, abs=1e-12)
     assert growing_threshold(2, 0.5) == pytest.approx(math.log(2.0) ** 2, abs=1e-12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):  # 1-D data: no config can fix it
         growing_threshold(1, 0.5)
     with pytest.raises(ConfigError):
         growing_threshold(4, 0.0)

@@ -7,7 +7,7 @@ no position updates, no edge aging, no neuron addition or removal.
 
 from __future__ import annotations
 
-from .core import Dataset, MapState, assign_all, win_histogram
+from .core import Dataset, MapState, assign_all
 from .engine import TrainConfig, _run_epochs, _SigmaSchedule, batch_weight_update
 
 
@@ -26,7 +26,7 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
 
     def step(epoch, asg):
         sigma, _ = schedule.step(epoch, map_state)
-        map_state.win_count += win_histogram(asg, map_state.m)
+        map_state.win_count += asg.wins
         map_state.weights = batch_weight_update(map_state, asg, data, sigma)
         return assign_all(data, map_state), []
 

@@ -97,9 +97,13 @@ def _parse_scalar(raw: str, type_hint: str):
 
 def read_config_file(path) -> dict:
     """Parse a flat key = value file (# starts a comment) into a dict of
-    strings."""
+    strings. A file that cannot be read or decoded raises ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -173,11 +177,13 @@ def run_single(
     config: TrainConfig,
     sizing: Dataset | None = None,
     epoch_hook=None,
-) -> dict:
+) -> tuple[TrainConfig, dict]:
     """One paired run: adaptive map and baseline from the same initial map.
 
-    Returns a dict with both trained maps, their reports and QualityReports
-    on the train and test splits.
+    Returns the resolved config and, for "amsom" and "som" in that order, a
+    tuple ``(map, labels, record)``: the trained map, its majority-vote
+    neuron labels on the train split (None without labels) and its
+    SUMMARY_METRICS values, keyed in that order.
     """
     amsom_map, cfg = create_initial_map(train_data, config, sizing=sizing)
     som_map = amsom_map.copy()
@@ -192,41 +198,24 @@ def run_single(
     _, smooth_reports = smooth(train_data, amsom_map, cfg, progress=hook("smooth"))
     _, som_reports = train_batch_som(train_data, som_map, cfg, progress=hook("baseline"))
 
-    return {
-        "config": cfg,
-        "amsom_map": amsom_map,
-        "som_map": som_map,
-        "amsom": {
-            "train_epochs": len(train_reports),
-            "smooth_epochs": len(smooth_reports),
-            "quality_train": quality_report(train_data, amsom_map),
-            "quality_test": quality_report(test_data, amsom_map),
-        },
-        "som": {
-            "train_epochs": len(som_reports),
-            "smooth_epochs": 0,
-            "quality_train": quality_report(train_data, som_map),
-            "quality_test": quality_report(test_data, som_map),
-        },
-    }
+    def fit(map_state, train_epochs, smooth_epochs):
+        on_train = quality_report(train_data, map_state)
+        on_test = quality_report(test_data, map_state)
+        record = {
+            "qe_train": on_train.qe,
+            "te_train": on_train.te,
+            "qe_test": on_test.qe,
+            "te_test": on_test.te,
+            "neurons": map_state.m,
+            "train_epochs": train_epochs,
+            "smooth_epochs": smooth_epochs,
+            "dead_fraction_train": on_train.dead_unit_fraction,
+        }
+        return map_state, on_train.neuron_labels, record
 
-
-def _run_record(algorithm: str, run: int, result: dict) -> dict:
-    part = result[algorithm]
-    qt = part["quality_train"]
-    qtest = part["quality_test"]
-    map_key = f"{algorithm}_map"
-    return {
-        "algorithm": algorithm,
-        "run": run,
-        "qe_train": qt.qe,
-        "te_train": qt.te,
-        "qe_test": qtest.qe,
-        "te_test": qtest.te,
-        "neurons": result[map_key].m,
-        "train_epochs": part["train_epochs"],
-        "smooth_epochs": part["smooth_epochs"],
-        "dead_fraction_train": qt.dead_unit_fraction,
+    return cfg, {
+        "amsom": fit(amsom_map, len(train_reports), len(smooth_reports)),
+        "som": fit(som_map, len(som_reports), 0),
     }
 
 
@@ -289,7 +278,10 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     spec.validate()
     full = load_dataset(spec.dataset, spec.label_column, seed=spec.config.seed)
     out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {out}: {exc}") from exc
     fractions = (spec.train_frac, spec.test_frac, spec.val_frac)
 
     records: list = []
@@ -304,28 +296,17 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
                     train_data, [train_data, test_data, full]
                 )
             run_cfg = replace(spec.config, seed=model_seed)
-            result = run_single(
+            cfg, fits = run_single(
                 train_data, test_data, run_cfg, sizing=sizing, epoch_hook=epoch_hook
             )
-
-            for algorithm in ("amsom", "som"):
-                records.append(_run_record(algorithm, run, result))
-                map_state = result[f"{algorithm}_map"]
-                part = result[algorithm]
+            for algorithm, (map_state, labels, record) in fits.items():
+                records.append({"algorithm": algorithm, "run": run, **record})
                 export_snapshot_json(
                     map_state,
                     out / f"run_{run:02d}_{algorithm}.json",
-                    labels=part["quality_train"].neuron_labels,
-                    config=dataclasses.asdict(result["config"]),
-                    metrics={
-                        "qe_train": part["quality_train"].qe,
-                        "te_train": part["quality_train"].te,
-                        "qe_test": part["quality_test"].qe,
-                        "te_test": part["quality_test"].te,
-                        "neurons": map_state.m,
-                        "train_epochs": part["train_epochs"],
-                        "smooth_epochs": part["smooth_epochs"],
-                    },
+                    labels=labels,
+                    config=dataclasses.asdict(cfg),
+                    metrics={k: v for k, v in record.items() if k != "dead_fraction_train"},
                 )
     except Exception as exc:
         failed = f"run {len(records) // 2}: {exc}"

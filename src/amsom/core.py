@@ -8,7 +8,7 @@ mapping every pattern to its best and second-best neuron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,15 +159,23 @@ class MapState:
 
 @dataclass
 class Assignment:
-    """Winner and runner-up for every pattern of a dataset.
+    """Winner and runner-up for every pattern of a dataset, against a map of
+    ``m`` neurons.
 
     ``dist`` holds the squared distance to the winner. ``second`` is -1 when
-    the map has a single neuron.
+    the map has a single neuron. ``wins`` (length ``m``) counts the patterns
+    each neuron won; it is derived from ``winner`` here and nowhere else, so
+    every per-neuron measure reads the same counts.
     """
 
     winner: np.ndarray
     second: np.ndarray
     dist: np.ndarray
+    m: int
+    wins: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.wins = np.bincount(self.winner, minlength=self.m).astype(np.int64)
 
 
 # Score-block budget of assign_all: at most CHUNK float64 entries (2 MB) per
@@ -234,7 +242,7 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     n = data.n
     m, d = weights.shape
     if m <= 2:
-        return Assignment(*_exact_rows(patterns, weights))
+        return Assignment(*_exact_rows(patterns, weights), m)
 
     winner = np.empty(n, dtype=np.int64)
     second = np.empty(n, dtype=np.int64)
@@ -275,17 +283,13 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
         if slow.size:
             idx = start + slow
             winner[idx], second[idx], dist[idx] = _exact_rows(block[slow], weights)
-    return Assignment(winner, second, dist)
+    return Assignment(winner, second, dist, m)
 
 
-def win_histogram(assignment: Assignment, m: int) -> np.ndarray:
-    """Number of patterns won by each of ``m`` neurons in this assignment."""
-    return np.bincount(assignment.winner, minlength=m).astype(np.int64)
-
-
-def winner_means(data: Dataset, assignment: Assignment, m: int) -> np.ndarray:
+def winner_means(data: Dataset, assignment: Assignment) -> np.ndarray:
     """Mean of the patterns won by each neuron; zero rows for empty neurons."""
-    counts = np.bincount(assignment.winner, minlength=m).astype(np.float64)
+    m = assignment.m
+    counts = assignment.wins.astype(np.float64)
     sums = np.zeros((m, data.d))
     for j in range(data.d):
         sums[:, j] = np.bincount(assignment.winner, weights=data.patterns[:, j], minlength=m)
@@ -294,12 +298,13 @@ def winner_means(data: Dataset, assignment: Assignment, m: int) -> np.ndarray:
     return means
 
 
-def per_neuron_quantization(assignment: Assignment, m: int) -> np.ndarray:
+def per_neuron_quantization(assignment: Assignment) -> np.ndarray:
     """Mean distance (root of the squared distance) of each neuron's patterns.
 
     Neurons that won nothing get NaN, the designated "empty" marker.
     """
-    counts = np.bincount(assignment.winner, minlength=m).astype(np.float64)
+    m = assignment.m
+    counts = assignment.wins.astype(np.float64)
     sums = np.bincount(assignment.winner, weights=np.sqrt(assignment.dist), minlength=m)
     out = np.full(m, np.nan)
     np.divide(sums, counts, out=out, where=counts > 0)

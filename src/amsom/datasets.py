@@ -50,10 +50,17 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     hard error reported with its line number. Labels that are all integers
     pass through; otherwise (names, fractions, inf, or integers beyond int64)
     every distinct label string is mapped to an integer id by sorted value.
+
+    A file that cannot be read or decoded raises DataError. A label column
+    that does not exist (index out of range, unknown name, or a name without
+    a header row) raises ConfigError: another column argument fixes it.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)]
+    try:
+        with open(path, newline="") as fh:
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [(lineno, row) for lineno, row in rows if any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -69,11 +76,11 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     width = len(rows[0][1])
     if isinstance(label_column, str):
         if header is None:
-            raise DataError(f"{path}: label column {label_column!r} needs a header row")
+            raise ConfigError(f"{path}: label column {label_column!r} needs a header row")
         try:
             label_idx = header.index(label_column)
         except ValueError:
-            raise DataError(f"{path}: no column named {label_column!r}") from None
+            raise ConfigError(f"{path}: no column named {label_column!r}") from None
     elif label_column is None:
         label_idx = None
     else:

@@ -23,7 +23,6 @@ from .core import (
     assign_all,
     mean_quantization_error,
     per_neuron_quantization,
-    win_histogram,
     winner_means,
 )
 from .errors import ConfigError, MapStructureError, TrainingError
@@ -166,9 +165,8 @@ def batch_weight_update(
     their previous weight. Returns the new weight matrix without touching the
     map.
     """
-    m = map_state.m
-    n = win_histogram(assignment, m).astype(np.float64)
-    xbar = winner_means(data, assignment, m)
+    n = assignment.wins.astype(np.float64)
+    xbar = winner_means(data, assignment)
     h = _output_kernel(map_state.positions, sigma)
     if neighbor_mask is not None:
         h = h * neighbor_mask
@@ -198,8 +196,7 @@ def position_update(
     the positions as they stand, then applied together. Returns the new
     position matrix.
     """
-    m = map_state.m
-    n = win_histogram(assignment, m).astype(np.float64)
+    n = assignment.wins.astype(np.float64)
     delta = _input_kernel(map_state.weights, sigma, gamma)
     if neighbor_mask is not None:
         delta = delta * neighbor_mask
@@ -229,16 +226,17 @@ def process_pattern_edges(map_state: MapState, winner: int, second: int) -> None
     map_state.ages[winner, second] = map_state.ages[second, winner] = 0
 
 
-def _apply_epoch_edges(map_state: MapState, winners: np.ndarray, seconds: np.ndarray) -> None:
+def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
     """Batched equivalent of process_pattern_edges over a whole epoch.
 
+    Presents the patterns of ``asg`` (an assignment to this map) in order.
     Exactly reproduces the sequential presentation-order result: an edge that
     is never refreshed ages by the total wins of its endpoints; a refreshed
     edge ends with the wins of its endpoints after its last refresh.
     """
     m = map_state.m
+    winners, seconds, wins = asg.winner, asg.second, asg.wins
     n = len(winners)
-    wins = np.bincount(winners, minlength=m).astype(np.int64)
 
     inc = wins[:, None] + wins[None, :]
     map_state.ages[map_state.edges] += inc[map_state.edges]
@@ -532,7 +530,7 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     def step(epoch, asg):
         nonlocal epochs_since_add
         sigma, alpha = schedule.step(epoch, map_state)
-        _apply_epoch_edges(map_state, asg.winner, asg.second)
+        _apply_epoch_edges(map_state, asg)
         map_state.weights = batch_weight_update(map_state, asg, data, sigma)
         if alpha > 0.0:
             map_state.positions = position_update(
@@ -543,7 +541,7 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
         epochs_since_add += 1
 
         asg = assign_all(data, map_state)
-        pnqe = per_neuron_quantization(asg, map_state.m)
+        pnqe = per_neuron_quantization(asg)
         split_events = maybe_add_neuron(
             map_state, pnqe, gt, epochs_since_add, config.t_add, rng, config.beta_mode
         )

@@ -10,7 +10,7 @@ class AmsomError(Exception):
 
 
 class ConfigError(AmsomError):
-    """Invalid configuration value, option or config file."""
+    """Invalid configuration value, option, config file or output path."""
 
 
 class DataError(AmsomError):

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Assignment,
-    Dataset,
-    MapState,
-    assign_all,
-    mean_quantization_error,
-    win_histogram,
-)
+from .core import Assignment, Dataset, MapState, assign_all, mean_quantization_error
 from .errors import DataError, MapStructureError
 
 
@@ -41,13 +34,13 @@ def topographic_error(asg: Assignment, map_state: MapState) -> float:
     return float(np.mean(~connected))
 
 
-def dead_units(asg: Assignment, m: int) -> tuple[int, float]:
-    """Count and fraction of the ``m`` neurons that win no pattern."""
-    count = int(np.sum(win_histogram(asg, m) == 0))
-    return count, count / m
+def dead_units(asg: Assignment) -> tuple[int, float]:
+    """Count and fraction of the map's neurons that win no pattern."""
+    count = int(np.sum(asg.wins == 0))
+    return count, count / asg.m
 
 
-def label_neurons(asg: Assignment, labels, m: int) -> list:
+def label_neurons(asg: Assignment, labels) -> list:
     """Majority-vote class label per neuron, from the patterns' ``labels``.
 
     Ties go to the lowest class id; neurons winning no pattern get None.
@@ -56,26 +49,22 @@ def label_neurons(asg: Assignment, labels, m: int) -> list:
         raise DataError("label_neurons needs a labeled dataset")
     if np.any(labels < 0):
         raise DataError("class ids must be non-negative")
-    n_classes = int(labels.max()) + 1
-    out: list = []
-    for i in range(m):
-        won = labels[asg.winner == i]
-        if won.size == 0:
-            out.append(None)
-        else:
-            counts = np.bincount(won, minlength=n_classes)
-            out.append(int(np.argmax(counts)))
-    return out
+    # one vote table, neurons x the class ids present; a sparse id costs no rows
+    classes, code = np.unique(labels, return_inverse=True)
+    k = classes.size
+    votes = np.bincount(asg.winner * k + code, minlength=asg.m * k).reshape(asg.m, k)
+    best = classes[np.argmax(votes, axis=1)]
+    return [int(c) if won else None for c, won in zip(best, asg.wins)]
 
 
 def quality_report(data: Dataset, map_state: MapState) -> QualityReport:
     """Compute all measures at once (labels only when the data has them)."""
     asg = assign_all(data, map_state)
-    count, fraction = dead_units(asg, map_state.m)
+    count, fraction = dead_units(asg)
     return QualityReport(
         qe=mean_quantization_error(asg),
         te=topographic_error(asg, map_state),
         dead_unit_count=count,
         dead_unit_fraction=fraction,
-        neuron_labels=None if data.labels is None else label_neurons(asg, data.labels, map_state.m),
+        neuron_labels=None if data.labels is None else label_neurons(asg, data.labels),
     )

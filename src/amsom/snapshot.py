@@ -7,12 +7,11 @@ same map always serializes to the same bytes and round-trips losslessly.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
 from .core import MapState
-from .errors import DataError, MapStructureError
+from .errors import ConfigError, DataError, MapStructureError
 
 SNAPSHOT_VERSION = 1
 
@@ -62,9 +61,18 @@ def export_snapshot_json(
     metrics: dict | None = None,
 ) -> None:
     payload = snapshot_dict(map_state, labels=labels, config=config, metrics=metrics)
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _open_output(path):
+    """Open an output file for writing. Its path is an option of the run,
+    so a path that cannot be opened raises ConfigError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _field(payload: dict, key: str, shape: tuple, dtype) -> np.ndarray:
@@ -134,13 +142,16 @@ def snapshot_to_map(payload: dict) -> MapState:
 def load_snapshot(path) -> tuple[MapState, dict]:
     """Read a snapshot file; returns the map and the full payload dict.
 
-    A file that is not JSON, or not a valid snapshot, raises DataError.
+    A file that cannot be read, is not JSON, or is not a valid snapshot
+    raises DataError.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"snapshot {path} is not JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"snapshot {path} is not JSON: {exc}") from exc
     return snapshot_to_map(payload), payload
 
 
@@ -183,4 +194,5 @@ def render_svg(map_state: MapState, path, labels=None, size: int = 640, margin: 
             f'stroke="#333333" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with _open_output(path) as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amsom.bench import (
+    SUMMARY_METRICS,
     ExperimentSpec,
     _derived_seeds,
     apply_config_values,
@@ -11,10 +12,13 @@ from amsom.bench import (
     load_dataset,
     read_config_file,
     run_experiment,
+    run_single,
 )
 from amsom.cli import main
+from amsom.datasets import split_dataset
 from amsom.engine import TrainConfig
 from amsom.errors import ConfigError
+from amsom.metrics import quality_report
 from amsom.snapshot import load_snapshot
 
 from conftest import IRIS_CSV
@@ -166,6 +170,24 @@ def test_run_experiment_outputs(blob_csv, tmp_path):
             assert float(record["std"]) == stat["std"]
 
 
+def test_run_single_returns_one_record_per_map(blob_csv):
+    full = load_dataset(str(blob_csv), "label")
+    train_data, test_data, _ = split_dataset(full, (0.6, 0.2, 0.2), 5)
+    cfg, fits = run_single(train_data, test_data, _quick_config())
+    assert cfg.sigma0 is not None  # the resolved config
+    assert list(fits) == ["amsom", "som"]
+    for map_state, labels, record in fits.values():
+        assert list(record) == SUMMARY_METRICS
+        on_train = quality_report(train_data, map_state)
+        on_test = quality_report(test_data, map_state)
+        assert labels == on_train.neuron_labels
+        assert (record["qe_train"], record["te_train"]) == (on_train.qe, on_train.te)
+        assert (record["qe_test"], record["te_test"]) == (on_test.qe, on_test.te)
+        assert record["dead_fraction_train"] == on_train.dead_unit_fraction
+        assert record["neurons"] == map_state.m
+    assert fits["som"][2]["smooth_epochs"] == 0
+
+
 def test_run_experiment_is_byte_deterministic(blob_csv, tmp_path):
     outputs = []
     for sub in ("a", "b"):
@@ -290,6 +312,36 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     args = ["train", str(inf_labels), "--label-column", "label", "--out", str(out),
             "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
     assert main(args) == 0
+
+    # an input that cannot be read or decoded is a data error, whatever the reason
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(blob_csv.read_bytes().replace(b"x,y", b"x,\xe9"))
+    assert main(["train", str(latin1)]) == 2
+    assert main(["train", str(tmp_path)]) == 2
+    latin1_map = tmp_path / "latin1.json"
+    latin1_map.write_bytes(b'{"weights": "\xe9"}')
+    assert main(["render", str(latin1_map)]) == 2
+
+    # a config file that cannot be read is a config error
+    short = ["--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
+    for config in [tmp_path / "missing.cfg", tmp_path, latin1]:
+        assert main(["train", str(blob_csv), "--config", str(config), "--out", str(out)] + short) == 1
+    assert main(["bench", str(tmp_path / "missing.cfg")]) == 1
+
+    # a label column that does not exist is a config error, by index or by name
+    assert main(["train", str(IRIS_CSV), "--label-column", "9"]) == 1
+    assert main(["train", str(IRIS_CSV), "--label-column", "nosuch"]) == 1
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(blob_csv.read_text().splitlines()[1:]) + "\n")
+    assert main(["train", str(bare), "--label-column", "label"]) == 1
+
+    # an output path that cannot be written is a bad argument
+    nowhere = tmp_path / "nosuchdir" / "map.json"
+    assert main(["train", str(blob_csv), "--out", str(nowhere)] + short) == 1
+    assert not nowhere.parent.exists()
+    assert main(["render", str(out), "--out", str(nowhere)]) == 1
+    spec.write_text(f"dataset = {blob_csv}\nruns = 1\nmax_epochs = 5\nsmooth_max_epochs = 5\n")
+    assert main(["bench", str(spec), "--out", str(blob_csv)]) == 1
     capsys.readouterr()  # keep the error lines out of the test log
 
 

@@ -12,7 +12,6 @@ from amsom.core import (
     assign_all,
     mean_quantization_error,
     per_neuron_quantization,
-    win_histogram,
     winner_means,
 )
 from amsom.errors import DataError, MapStructureError
@@ -217,17 +216,28 @@ def test_assign_all_dimension_mismatch():
         assign_all(Dataset([[1.0, 2.0]]), make_map([[0.0], [1.0]]))
 
 
-def test_win_histogram_and_winner_means():
+def test_assignment_wins_and_winner_means():
+    # neurons 1 and 3 win nothing; 3 is past the largest winner index, so
+    # only the map size makes wins cover it
     data = Dataset([[0.0, 0.0], [2.0, 0.0], [4.0, 4.0]])
     asg = Assignment(
-        winner=np.array([0, 0, 2]), second=np.array([1, 1, 1]), dist=np.zeros(3)
+        winner=np.array([0, 0, 2]), second=np.array([1, 1, 1]), dist=np.zeros(3), m=4
     )
-    assert np.array_equal(win_histogram(asg, 4), [2, 0, 1, 0])
-    means = winner_means(data, asg, 4)
+    assert asg.wins.dtype == np.int64
+    assert np.array_equal(asg.wins, [2, 0, 1, 0])
+    means = winner_means(data, asg)
+    assert means.shape == (4, 2)
     assert np.allclose(means[0], [1.0, 0.0])
     assert np.allclose(means[1], [0.0, 0.0])  # empty neurons get zero rows
     assert np.allclose(means[2], [4.0, 4.0])
     assert np.allclose(means[3], [0.0, 0.0])
+
+
+def test_assign_all_counts_wins_against_its_map():
+    ms = make_map([[0.0], [1.0], [2.0], [10.0], [11.0]])
+    asg = assign_all(Dataset([[0.1], [0.2], [1.9]]), ms)
+    assert asg.m == ms.m
+    assert np.array_equal(asg.wins, [2, 0, 1, 0, 0])
 
 
 def test_per_neuron_quantization_uses_nan_for_empty():
@@ -235,8 +245,9 @@ def test_per_neuron_quantization_uses_nan_for_empty():
         winner=np.array([0, 0, 1]),
         second=np.array([1, 1, 0]),
         dist=np.array([4.0, 16.0, 9.0]),
+        m=3,
     )
-    pnqe = per_neuron_quantization(asg, 3)
+    pnqe = per_neuron_quantization(asg)
     assert pnqe[0] == pytest.approx(3.0)  # mean of sqrt(4), sqrt(16)
     assert pnqe[1] == pytest.approx(3.0)
     assert np.isnan(pnqe[2])

@@ -46,7 +46,7 @@ def test_load_csv_headerless_numbers_and_no_labels(tmp_path):
     data = load_csv(path)
     assert data.n == 2
     assert data.labels is None
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         load_csv(path, label_column="x")  # a name needs a header row
 
 
@@ -72,6 +72,23 @@ def test_load_csv_hard_errors(tmp_path):
         load_csv(_write(tmp_path, "x,y\n,\n"))  # everything skipped
     with pytest.raises(ConfigError):
         load_csv(_write(tmp_path, "1,2\n"), label_column=5)
+
+
+def test_load_csv_missing_label_column_is_a_config_error(tmp_path):
+    # another column argument fixes each of these, so none is a data fault
+    named = _write(tmp_path, "x,y,kind\n1,2,a\n")
+    bare = _write(tmp_path, "1,2,3\n", name="bare.csv")
+    for path, column in [(named, 3), (named, -4), (named, "nosuch"), (bare, "kind")]:
+        with pytest.raises(ConfigError):
+            load_csv(path, label_column=column)
+
+
+def test_load_csv_unreadable_file_is_a_data_error(tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("x,caf\xe9\n1,2\n".encode("latin-1"))
+    for path in [tmp_path / "missing.csv", tmp_path, latin1]:
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(path)
 
 
 def test_load_csv_integer_valued_labels_pass_through(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amsom.baseline import train_batch_som
-from amsom.core import Dataset, assign_all, mean_quantization_error
+from amsom.core import Assignment, Dataset, assign_all, mean_quantization_error
 from amsom.engine import (
     TrainConfig,
     _apply_epoch_edges,
@@ -271,12 +271,43 @@ def test_epoch_edge_batch_matches_sequential_presentation():
         for w, s in zip(winners, seconds):
             process_pattern_edges(seq, int(w), int(s))
         bat = base.copy()
-        _apply_epoch_edges(bat, winners, seconds)
+        _apply_epoch_edges(bat, Assignment(winners, seconds, np.zeros(n_pat), m))
 
-        assert np.array_equal(seq.edges, bat.edges)
-        assert np.array_equal(seq.ages, bat.ages)
-        assert np.array_equal(seq.win_count, bat.win_count)
+        assert_same_map(seq, bat)
     assert repeats > 1000
+
+
+def test_epoch_edge_batch_matches_sequential_presentation_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def epochs(draw):
+        m = draw(st.integers(2, 12))
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        aged = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, 40)), max_size=2 * m))
+        # few distinct pairs, so the same pair is often refreshed again
+        pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+        shown = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+        wins = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        return m, aged, shown, wins
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(epochs())
+    def check(epoch):
+        m, aged, shown, wins = epoch
+        base = make_map(np.zeros((m, 2)), edges=[(i, j, age) for (i, j), age in aged],
+                        win_count=wins)
+        winners = np.array([w for w, _ in shown])
+        seconds = np.array([s for _, s in shown])
+        seq = base.copy()
+        for w, s in shown:
+            process_pattern_edges(seq, w, s)
+        bat = base.copy()
+        _apply_epoch_edges(bat, Assignment(winners, seconds, np.zeros(len(shown)), m))
+        assert_same_map(seq, bat)
+
+    check()
 
 
 # ----------------------------------------------------------- pruning

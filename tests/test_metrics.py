@@ -62,7 +62,7 @@ def test_topographic_error_needs_two_neurons():
 def test_dead_units():
     ms = make_map([[0.0], [1.0], [10.0]])
     data = Dataset([[0.1], [0.9], [1.1]])
-    count, fraction = dead_units(assign_all(data, ms), ms.m)
+    count, fraction = dead_units(assign_all(data, ms))
     assert count == 1
     assert fraction == pytest.approx(1.0 / 3.0)
 
@@ -70,22 +70,37 @@ def test_dead_units():
 def test_label_neurons_majority_vote():
     ms = make_map([[0.0], [1.0], [5.0]])
     data = Dataset([[0.0], [0.1], [0.9], [1.0], [1.1]], labels=[0, 0, 1, 1, 2])
-    assert label_neurons(assign_all(data, ms), data.labels, ms.m) == [0, 1, None]
+    assert label_neurons(assign_all(data, ms), data.labels) == [0, 1, None]
 
 
 def test_label_neurons_tie_goes_to_the_lowest_class():
     ms = make_map([[0.0], [9.0]])
     data = Dataset([[0.0], [0.1]], labels=[1, 0])
-    assert label_neurons(assign_all(data, ms), data.labels, ms.m) == [0, None]
+    assert label_neurons(assign_all(data, ms), data.labels) == [0, None]
+
+
+def test_label_neurons_matches_a_per_neuron_vote():
+    # sparse class ids, empty neurons and ties, against a vote per neuron
+    rng = np.random.default_rng(54)
+    for _ in range(20):
+        m = int(rng.integers(2, 12))
+        ms = make_map(rng.normal(size=(m, 2)))
+        data = Dataset(rng.normal(size=(40, 2)), labels=rng.choice([0, 3, 4, 1000], size=40))
+        asg = assign_all(data, ms)
+        expected = []
+        for i in range(m):
+            won = data.labels[asg.winner == i]
+            expected.append(int(np.argmax(np.bincount(won))) if won.size else None)
+        assert label_neurons(asg, data.labels) == expected
 
 
 def test_label_neurons_requires_usable_labels():
     ms = make_map([[0.0], [1.0]])
     asg = assign_all(Dataset([[0.0]]), ms)
     with pytest.raises(DataError):
-        label_neurons(asg, None, ms.m)
+        label_neurons(asg, None)
     with pytest.raises(DataError):
-        label_neurons(asg, Dataset([[0.0]], labels=[-1]).labels, ms.m)
+        label_neurons(asg, Dataset([[0.0]], labels=[-1]).labels)
 
 
 def test_quality_report_bundles_the_measures(monkeypatch):
@@ -104,8 +119,8 @@ def test_quality_report_bundles_the_measures(monkeypatch):
     asg = seen[0]
     assert report.qe == mean_quantization_error(asg)
     assert report.te == topographic_error(asg, ms)
-    assert (report.dead_unit_count, report.dead_unit_fraction) == dead_units(asg, ms.m)
-    assert report.neuron_labels == label_neurons(asg, data.labels, ms.m)
+    assert (report.dead_unit_count, report.dead_unit_fraction) == dead_units(asg)
+    assert report.neuron_labels == label_neurons(asg, data.labels)
 
     plain = quality_report(Dataset(data.patterns), ms)
     assert plain.neuron_labels is None

@@ -22,7 +22,7 @@ from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
 from .metrics import quality_report
-from .snapshot import export_snapshot_json, load_snapshot, render_svg
+from .snapshot import check_output_path, export_snapshot_json, load_snapshot, render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +62,7 @@ def _cmd_train(args) -> int:
         values[key.strip()] = value.strip()
     config = apply_config_values(values, TrainConfig())
     config.validate()
+    check_output_path(args.out)
 
     data = load_dataset(args.dataset, args.label_column, seed=config.seed)
     map_state, cfg = create_initial_map(data, config)

@@ -155,7 +155,6 @@ def batch_weight_update(
     assignment: Assignment,
     data: Dataset,
     sigma: float,
-    neighbor_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """One batch weight step: kernel-weighted average of winner means.
 
@@ -167,10 +166,7 @@ def batch_weight_update(
     """
     n = assignment.wins.astype(np.float64)
     xbar = winner_means(data, assignment)
-    h = _output_kernel(map_state.positions, sigma)
-    if neighbor_mask is not None:
-        h = h * neighbor_mask
-    k = n[:, None] * h
+    k = n[:, None] * _output_kernel(map_state.positions, sigma)
     den = k.sum(axis=0)
     num = k.T @ xbar
     new_w = map_state.weights.copy()
@@ -185,7 +181,6 @@ def position_update(
     sigma: float,
     alpha: float,
     gamma: float,
-    neighbor_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """One position step: move each neuron toward winners it resembles.
 
@@ -197,10 +192,7 @@ def position_update(
     position matrix.
     """
     n = assignment.wins.astype(np.float64)
-    delta = _input_kernel(map_state.weights, sigma, gamma)
-    if neighbor_mask is not None:
-        delta = delta * neighbor_mask
-    k = n[:, None] * delta
+    k = n[:, None] * _input_kernel(map_state.weights, sigma, gamma)
     np.fill_diagonal(k, 0.0)
     den = k.sum(axis=0)
     num = k.T @ map_state.positions - den[:, None] * map_state.positions
@@ -208,6 +200,24 @@ def position_update(
     ok = den > 0.0
     new_r[ok] += alpha * num[ok] / den[ok, None]
     return new_r
+
+
+def _edge_step(pairs, wins, points, width2, toward, state, rate):
+    """Move each target row of ``state`` by ``rate`` times the mean of
+    toward[s] - state[t] over its (t, s) ``pairs``, weighted by wins[s] *
+    exp(-|points[s] - points[t]|^2 / width2). Sums run in pair order
+    (``np.bincount``), not in a BLAS order. Targets whose weights sum to
+    zero keep their row. Returns the new array."""
+    t, s = pairs
+    gap = points[s] - points[t]
+    k = wins[s] * np.exp(-np.einsum("ed,ed->e", gap, gap) / width2)
+    pull = toward[s] - state[t]
+    den = np.bincount(t, weights=k, minlength=len(state))
+    num = np.column_stack([np.bincount(t, weights=k * p, minlength=len(state)) for p in pull.T])
+    ok = den > 0.0
+    new = state.copy()
+    new[ok] += rate * (num[ok] / den[ok, None])
+    return new
 
 
 def process_pattern_edges(map_state: MapState, winner: int, second: int) -> None:
@@ -369,7 +379,9 @@ def enforce_degree(map_state: MapState, q: int) -> list:
     are ranked by age then peer index, and everything past the q best is cut.
     """
     events = []
-    for i in range(map_state.m):
+    # trimming only lowers degrees, so only neurons over the cap at entry can
+    # need it; each one's degree is read again when its turn comes
+    for i in np.flatnonzero(map_state.degrees() > q).tolist():
         nbrs = np.flatnonzero(map_state.edges[i])
         if nbrs.size <= q:
             continue
@@ -566,30 +578,32 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     (plus itself for the weight step) and the kernel width is held fixed.
     Adaptation continues at the low rate alpha_smooth, for positions and
     weights alike: each epoch the weights move a step of that size toward
-    the masked batch target rather than jumping onto it, so the error is
-    polished without reshuffling which neurons are closest to which
-    patterns. No edges or neurons change. Stops when the epoch-to-epoch
-    error change drops under eps2, or after smooth_max_epochs. Returns
-    ``(map_state, reports)``. The epoch loop is the one shared with
-    ``train`` and the baseline.
+    that neighborhood's batch target rather than jumping onto it, so the
+    error is polished without reshuffling which neurons are closest to
+    which patterns; the position step then reads the moved weights. No
+    edges or neurons change, so both kernels are evaluated only on the
+    graph's (target, source) pairs: O(edges) per epoch, not O(m^2). Stops
+    when the epoch-to-epoch error change drops under eps2, or after
+    smooth_max_epochs. Returns ``(map_state, reports)``. The epoch loop is
+    the one shared with ``train`` and the baseline.
     """
     config.validate()
     if map_state.m < 2:
         raise MapStructureError("smoothing needs at least 2 neurons")
 
-    mask = map_state.edges | np.eye(map_state.m, dtype=bool)
+    # np.nonzero lists pairs by row, then column; the graph is symmetric, so
+    # rows serve as targets and columns as sources
+    with_self = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
+    pairs = np.nonzero(map_state.edges)
     sigma = _cell_width_sigma(map_state, config)
+    rate = config.alpha_smooth
 
     def step(epoch, asg):
-        target = batch_weight_update(
-            map_state, asg, data, sigma, neighbor_mask=mask
-        )
-        map_state.weights = map_state.weights + config.alpha_smooth * (
-            target - map_state.weights
-        )
-        map_state.positions = position_update(
-            map_state, asg, sigma, config.alpha_smooth, config.gamma, neighbor_mask=mask
-        )
+        n = asg.wins.astype(np.float64)
+        w, r = map_state.weights, map_state.positions
+        map_state.weights = _edge_step(with_self, n, r, sigma * sigma, winner_means(data, asg), w, rate)
+        width2 = config.gamma * sigma * sigma
+        map_state.positions = _edge_step(pairs, n, map_state.weights, width2, r, r, rate)
         return assign_all(data, map_state), []
 
     return map_state, _run_epochs(

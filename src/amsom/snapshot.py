@@ -7,6 +7,7 @@ same map always serializes to the same bytes and round-trips losslessly.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -73,6 +74,16 @@ def _open_output(path):
         return open(path, "w")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def check_output_path(path) -> None:
+    """Raise the ConfigError of ``_open_output`` up front, creating nothing,
+    when ``path`` is a directory or its directory is missing or read-only."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+        path if os.path.exists(path) else folder, os.W_OK
+    ):
+        raise ConfigError(f"cannot write {path}: not a writable file in an existing directory")
 
 
 def _field(payload: dict, key: str, shape: tuple, dtype) -> np.ndarray:

@@ -345,6 +345,28 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     capsys.readouterr()  # keep the error lines out of the test log
 
 
+def test_cli_train_checks_its_output_path_before_training(blob_csv, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing_train(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr("amsom.cli.train", failing_train)
+    for bad in [tmp_path / "nosuchdir" / "map.json", tmp_path]:
+        assert main(["train", str(blob_csv), "--out", str(bad)]) == 1
+    assert calls == []
+
+    # a run that fails after the check neither creates nor truncates the output
+    out = tmp_path / "map.json"
+    assert main(["train", str(blob_csv), "--out", str(out)]) == 3
+    assert len(calls) == 1 and not out.exists()
+    out.write_text("kept\n")
+    assert main(["train", str(blob_csv), "--out", str(out)]) == 3
+    assert out.read_text() == "kept\n"
+    capsys.readouterr()  # keep the error lines out of the test log
+
+
 def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):
     # with sigma0 unset the start width is clamped at sigma_final, so a wide
     # sigma_final on its own is a valid config

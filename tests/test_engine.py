@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from amsom.baseline import train_batch_som
-from amsom.core import Assignment, Dataset, assign_all, mean_quantization_error
+from amsom.core import Assignment, Dataset, assign_all, mean_quantization_error, winner_means
 from amsom.engine import (
     TrainConfig,
     _apply_epoch_edges,
     _cell_width_sigma,
+    _input_kernel,
+    _output_kernel,
+    _remove_isolated,
     _sigma_at,
     _SigmaSchedule,
     batch_weight_update,
@@ -116,15 +119,20 @@ def test_batch_weight_update_keeps_unreachable_neurons():
 
 
 def test_batch_weight_update_with_identity_mask_is_lloyd():
+    # smoothing a map without edges masks the batch target with I: each
+    # neuron steps toward the mean of the patterns it wins (Lloyd), and no
+    # position moves
     rng = np.random.default_rng(29)
     ms = make_map(rng.normal(size=(4, 2)))
     data = Dataset(rng.normal(size=(20, 2)))
     asg = assign_all(data, ms)
-    new_w = batch_weight_update(ms, asg, data, 1.0, neighbor_mask=np.eye(4, dtype=bool))
+    got, _ = smooth(data, ms.copy(), TrainConfig(alpha_smooth=0.5, smooth_max_epochs=1))
     for i in range(4):
         won = data.patterns[asg.winner == i]
         expect = won.mean(axis=0) if won.size else ms.weights[i]
-        assert np.max(np.abs(new_w[i] - expect)) < 1e-12
+        expect = ms.weights[i] + 0.5 * (expect - ms.weights[i])
+        assert np.max(np.abs(got.weights[i] - expect)) < 1e-12
+    assert np.array_equal(got.positions, ms.positions)
 
 
 # ------------------------------------------------------------ position update
@@ -167,6 +175,8 @@ def test_position_update_matches_scalar_reference():
 
 
 def test_position_update_masked_to_graph_neighbors():
+    # the smoothing position step pulls only toward graph neighbors, under
+    # the input kernel of the weights its own weight step just produced
     rng = np.random.default_rng(37)
     ms = make_map(
         rng.normal(size=(4, 2)),
@@ -176,7 +186,10 @@ def test_position_update_masked_to_graph_neighbors():
     data = Dataset(rng.normal(size=(12, 2)))
     asg = assign_all(data, ms)
     mask = ms.edges | np.eye(4, dtype=bool)
-    got = position_update(ms, asg, 1.0, 0.1, 4.0, neighbor_mask=mask)
+    cfg = TrainConfig(alpha_smooth=0.1, smooth_max_epochs=1)
+    sigma = _cell_width_sigma(ms, cfg)
+    smoothed, _ = smooth(data, ms.copy(), cfg)
+    got, w = smoothed.positions, smoothed.weights
 
     counts = np.array([(asg.winner == j).sum() for j in range(4)], dtype=float)
     for i in range(4):
@@ -185,11 +198,105 @@ def test_position_update_masked_to_graph_neighbors():
         for j in range(4):
             if j == i or not mask[j, i]:
                 continue
-            delta = neighborhood_input(ms.weights[j], ms.weights[i], 1.0, 4.0)
+            delta = neighborhood_input(w[j], w[i], sigma, 4.0)
             num += counts[j] * delta * (ms.positions[j] - ms.positions[i])
             den += counts[j] * delta
         expect = ms.positions[i] + (0.1 * num / den if den > 0 else 0.0)
         assert np.max(np.abs(got[i] - expect)) < 1e-12
+
+
+def _dense_smooth_epoch(ms, data, cfg):
+    """One smoothing epoch by the dense masked formula: both m x m kernels
+    times edges | I, the position step without its self term and against
+    the weights the weight step produced. Returns (weights, positions)."""
+    asg = assign_all(data, ms)
+    sigma = _cell_width_sigma(ms, cfg)
+    mask = ms.edges | np.eye(ms.m, dtype=bool)
+    n = asg.wins.astype(np.float64)
+
+    k = n[:, None] * _output_kernel(ms.positions, sigma) * mask
+    den = k.sum(axis=0)
+    ok = den > 0.0
+    target = ms.weights.copy()
+    target[ok] = (k.T @ winner_means(data, asg))[ok] / den[ok, None]
+    w = ms.weights + cfg.alpha_smooth * (target - ms.weights)
+
+    k = n[:, None] * _input_kernel(w, sigma, cfg.gamma) * mask
+    np.fill_diagonal(k, 0.0)
+    den = k.sum(axis=0)
+    ok = den > 0.0
+    num = k.T @ ms.positions - den[:, None] * ms.positions
+    r = ms.positions.copy()
+    r[ok] += cfg.alpha_smooth * num[ok] / den[ok, None]
+    return w, r
+
+
+def _check_smooth_epoch_against_dense(ms, data):
+    """The edge-list epoch of ``smooth`` sums in another order than the dense
+    formula, so the two agree to rtol 1e-12, with an absolute floor of 1e-12
+    times the largest input magnitude for coordinates that cancel to ~0."""
+    cfg = TrainConfig(alpha_smooth=0.5, smooth_max_epochs=1)
+    want_w, want_r = _dense_smooth_epoch(ms, data, cfg)
+    got, _ = smooth(data, ms.copy(), cfg)
+    scale = max(np.abs(data.patterns).max(), np.abs(ms.weights).max(), np.abs(ms.positions).max())
+    np.testing.assert_allclose(got.weights, want_w, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.positions, want_r, rtol=1e-12, atol=1e-12 * scale)
+    return got
+
+
+def test_smooth_epoch_matches_the_dense_masked_formula_edge_cases():
+    # neurons 2 and 3 win nothing; neuron 3 sits so far away in both spaces
+    # that every kernel entry it takes part in underflows to zero, so both
+    # its denominators are zero and it keeps its weight and position
+    ms = make_map(
+        [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [100.0, 100.0]],
+        positions=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [500.0, 0.0]],
+        edges=[(0, 1), (1, 2), (2, 3)],
+    )
+    rng = np.random.default_rng(41)
+    data = Dataset(rng.normal(0.5, 0.3, size=(15, 2)))
+    assert list(assign_all(data, ms).wins[2:]) == [0, 0]
+    got = _check_smooth_epoch_against_dense(ms, data)
+    assert np.array_equal(got.weights[3], ms.weights[3])
+    assert np.array_equal(got.positions[3], ms.positions[3])
+    assert not np.array_equal(got.weights[2], ms.weights[2])
+
+    # m = 2, with and without its edge
+    two = make_map(rng.normal(size=(2, 3)), positions=[[0.0, 0.0], [0.7, 0.2]], edges=[(0, 1)])
+    data = Dataset(rng.normal(size=(9, 3)))
+    _check_smooth_epoch_against_dense(two, data)
+    two.edges[:] = False
+    got = _check_smooth_epoch_against_dense(two, data)
+    assert np.array_equal(got.positions, two.positions)
+
+
+def test_smooth_epoch_matches_the_dense_masked_formula_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # integer positions give sigma = sigma_final = 1 and weights and patterns
+    # in [-2, 2] keep every kernel entry far from underflow, where the two
+    # summation orders could part by more than rounding
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 15),
+        d=st.integers(2, 4),
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+    )
+    def check(seed, m, d, n, density):
+        rng = np.random.default_rng(seed)
+        edges = np.triu(rng.random((m, m)) < density, 1)
+        ms = make_map(
+            rng.uniform(-2.0, 2.0, size=(m, d)),
+            positions=rng.integers(0, 5, size=(m, 2)),
+        )
+        ms.edges = edges | edges.T
+        data = Dataset(rng.uniform(-2.0, 2.0, size=(n, d)))
+        _check_smooth_epoch_against_dense(ms, data)
+
+    check()
 
 
 # ------------------------------------------------------------- edge bookkeeping
@@ -447,6 +554,27 @@ def test_split_ties_resolve_to_lowest_index():
 # ----------------------------------------------------------- degree cap
 
 
+def _enforce_degree_every_neuron(map_state, q):
+    """The degree cap as a loop over every neuron in index order: the
+    reference that ``enforce_degree`` must match event for event."""
+    events = []
+    for i in range(map_state.m):
+        nbrs = np.flatnonzero(map_state.edges[i])
+        if nbrs.size <= q:
+            continue
+        order = np.lexsort((nbrs, map_state.ages[i, nbrs]))
+        drop = nbrs[order[q:]]
+        for j in drop:
+            a, b = (i, int(j)) if i < j else (int(j), i)
+            events.append({"kind": "edge_trimmed", "edge": (a, b), "neuron": i})
+        map_state.edges[i, drop] = False
+        map_state.edges[drop, i] = False
+        map_state.ages[i, drop] = 0
+        map_state.ages[drop, i] = 0
+    events += _remove_isolated(map_state)
+    return events
+
+
 def test_degree_cap_drops_only_the_oldest_edge():
     ms = make_map(
         np.zeros((6, 2)),
@@ -593,8 +721,15 @@ def test_structural_steps_keep_the_invariants_property():
         ms.win_count = rng.integers(0, 9, size=m)
         ms.validate()
 
+        def cap(ms):
+            # same events and map as the loop over every neuron
+            expected = ms.copy()
+            expected_events = _enforce_degree_every_neuron(expected, q)
+            assert enforce_degree(ms, q) == expected_events
+            assert_same_map(ms, expected)
+
         # the degree cap brings any map under q
-        enforce_degree(ms, q)
+        cap(ms)
         ms.validate(q_max=q)
         assert ms.m >= 2
 
@@ -614,7 +749,7 @@ def test_structural_steps_keep_the_invariants_property():
         maybe_add_neuron(ms, pnqe, 0.5, 30, 30, rng)
         ms.validate(q_max=q + 1)
         assert ms.m in (m_before, m_before + 1)
-        enforce_degree(ms, q)
+        cap(ms)
         ms.validate(q_max=q)
         assert ms.m >= 2
 

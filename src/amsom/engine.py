@@ -20,6 +20,7 @@ from .core import (
     Assignment,
     Dataset,
     MapState,
+    PrunedSearch,
     assign_all,
     mean_quantization_error,
     per_neuron_quantization,
@@ -291,12 +292,12 @@ def _remove_isolated(map_state: MapState) -> list:
 
 def prune_edges_and_neurons(map_state: MapState, age_max: int) -> list:
     """Cut edges at or past the age cutoff, then drop isolated neurons."""
-    events = []
     aged = map_state.edges & (map_state.ages >= age_max)
-    for a, b in np.argwhere(np.triu(aged, 1)):
-        events.append(
-            {"kind": "edge_aged_out", "edge": (int(a), int(b)), "age": int(map_state.ages[a, b])}
-        )
+    rows, cols = np.nonzero(np.triu(aged, 1))
+    events = [
+        {"kind": "edge_aged_out", "edge": (a, b), "age": age}
+        for a, b, age in zip(rows.tolist(), cols.tolist(), map_state.ages[rows, cols].tolist())
+    ]
     map_state.edges[aged] = False
     map_state.ages[aged] = 0
     events += _remove_isolated(map_state)
@@ -585,7 +586,8 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     graph's (target, source) pairs: O(edges) per epoch, not O(m^2). Stops
     when the epoch-to-epoch error change drops under eps2, or after
     smooth_max_epochs. Returns ``(map_state, reports)``. The epoch loop is
-    the one shared with ``train`` and the baseline.
+    the one shared with ``train`` and the baseline; after its first
+    ``assign_all``, ``PrunedSearch`` finds each epoch's winners.
     """
     config.validate()
     if map_state.m < 2:
@@ -597,6 +599,7 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     pairs = np.nonzero(map_state.edges)
     sigma = _cell_width_sigma(map_state, config)
     rate = config.alpha_smooth
+    search = PrunedSearch(data)
 
     def step(epoch, asg):
         n = asg.wins.astype(np.float64)
@@ -604,7 +607,7 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
         map_state.weights = _edge_step(with_self, n, r, sigma * sigma, winner_means(data, asg), w, rate)
         width2 = config.gamma * sigma * sigma
         map_state.positions = _edge_step(pairs, n, map_state.weights, width2, r, r, rate)
-        return assign_all(data, map_state), []
+        return search(map_state), []
 
     return map_state, _run_epochs(
         data, map_state, config.smooth_max_epochs, config.eps2, step, progress

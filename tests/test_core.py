@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from amsom.core import (
     Assignment,
     Dataset,
     MapState,
+    PrunedSearch,
     _exact_rows,
     assign_all,
     mean_quantization_error,
@@ -84,7 +86,7 @@ def test_assign_all_single_neuron_map():
 
 
 def _same_as_exact(asg, patterns, weights):
-    winner, second, dist = _exact_rows(patterns, weights)
+    winner, second, dist, _ = _exact_rows(patterns, weights)
     return (
         np.array_equal(asg.winner, winner)
         and np.array_equal(asg.second, second)
@@ -161,7 +163,7 @@ def test_assign_all_across_chunk_boundaries(monkeypatch, chunk):
     patterns = rng.normal(size=(16, 3))
     weights = rng.normal(size=(7, 3))
     weights[4] = weights[1]
-    winner, second, dist = _exact_rows(patterns, weights)
+    winner, second, dist, _ = _exact_rows(patterns, weights)
     monkeypatch.setattr(core, "CHUNK", chunk)
     asg = assign_all(Dataset(patterns), make_map(weights))
     assert np.array_equal(asg.winner, winner)
@@ -197,18 +199,186 @@ def test_assign_all_equals_brute_force_property():
     check()
 
 
-def test_assign_all_memory_is_bounded_by_the_chunk():
+def _spy_pruned_routes(monkeypatch):
+    """Count the rows PrunedSearch sends to the GEMM search and to the
+    brute-force search while ``on[0]`` is set; the brute-force fallback
+    inside the GEMM search is not a route of its own."""
+    rows = Counter()
+    on = [False]
+    search, exact = core._search, core._exact_rows
+
+    def spy_search(patterns, weights):
+        counting, on[0] = on[0], False
+        rows["gemm"] += counting * patterns.shape[0]
+        try:
+            return search(patterns, weights)
+        finally:
+            on[0] = counting
+
+    def spy_exact(patterns, weights):
+        rows["exact"] += on[0] * patterns.shape[0]
+        return exact(patterns, weights)
+
+    monkeypatch.setattr(core, "_search", spy_search)
+    monkeypatch.setattr(core, "_exact_rows", spy_exact)
+    return rows, on
+
+
+def test_pruned_search_equals_assign_all_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rows, on = _spy_pruned_routes(monkeypatch)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        m=st.integers(2, 30),
+        d=st.integers(1, 16),
+        log_scale=st.floats(-3, 3),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e4, 1e6]),
+        duplicates=st.integers(0, 5),
+        rounded=st.booleans(),
+        log_step=st.floats(-8, -1),
+        jumps=st.lists(st.integers(1, 11), max_size=3),
+    )
+    # a far jump of one neuron lowers every bound past its pair, so all 60
+    # rows of this example take the GEMM route at step 4
+    @hypothesis.example(
+        seed=1, n=60, m=30, d=16, log_scale=0.0, offset=0.0, duplicates=0,
+        rounded=False, log_step=-6.0, jumps=[4],
+    )
+    def check(seed, n, m, d, log_scale, offset, duplicates, rounded, log_step, jumps):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        patterns = rng.normal(size=(n, d)) * scale + offset
+        weights = rng.normal(size=(m, d)) * scale + offset
+        weights[rng.integers(0, m, size=duplicates)] = weights[rng.integers(0, m)]
+        if rounded:
+            patterns, weights = np.round(patterns), np.round(weights)
+        data, ms = Dataset(patterns), make_map(weights)
+        search = PrunedSearch(data)
+        for t in range(12):
+            if t:
+                # a smoothing-sized step for every neuron; on the integer
+                # grid, a few neurons move by one unit
+                step = rng.normal(size=(m, d)) * (0.3 if rounded else scale * 10.0**log_step)
+                ms.weights = ms.weights + (np.round(step) if rounded else step)
+            if t in jumps:
+                j = rng.integers(0, m)
+                if rng.random() < 0.5:
+                    ms.weights[j] = ms.weights[rng.integers(0, m)]
+                else:
+                    ms.weights[j] = rng.normal(size=d) * 3.0 * scale + offset
+                    if rounded:
+                        ms.weights[j] = np.round(ms.weights[j])
+            routed = rows["gemm"] + rows["exact"]
+            on[0] = t > 0
+            asg = search(ms)
+            on[0] = False
+            if t:
+                rows["skip"] += n - (rows["gemm"] + rows["exact"] - routed)
+            fresh = assign_all(data, ms)
+            assert np.array_equal(asg.winner, fresh.winner)
+            assert np.array_equal(asg.second, fresh.second)
+            assert asg.dist.tobytes() == fresh.dist.tobytes()
+            assert np.array_equal(asg.wins, fresh.wins)
+
+    check()
+    # the skip path and both routes of the rows searched again were taken
+    assert rows["skip"] > 0 and rows["exact"] > 0 and rows["gemm"] > 0
+
+
+def test_pruned_search_keeps_the_pairs_that_stay_clear(monkeypatch):
+    # well-separated random data: a repeated call, or a step far below every
+    # gap, searches no row again, and a far jump of one neuron searches all
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.normal(size=(50, 3)))
+    ms = make_map(rng.normal(size=(10, 3)))
+    search = PrunedSearch(data)
+    search(ms)
+    rows, on = _spy_pruned_routes(monkeypatch)
+    on[0] = True
+    for weights in (ms.weights, ms.weights + 1e-9, ms.weights + 1e-9, ms.weights):
+        ms.weights = weights
+        search(ms)
+        assert rows["gemm"] + rows["exact"] == 0
+    ms.weights = ms.weights.copy()
+    ms.weights[3] += 50.0
+    asg = search(ms)
+    assert rows["gemm"] + rows["exact"] == data.n
+    assert _same_as_exact(asg, data.patterns, ms.weights)
+
+
+def test_pruned_search_bounds_allow_for_the_score_error(monkeypatch):
+    # Far from the origin a GEMM score is off by up to ~1e-3 here. Neuron 2
+    # starts third, clear of the runner-up 1 by enough for the scores to
+    # decide; then it steps 0.03 toward the pattern while 1 steps away to end
+    # 1e-7 (squared) behind it. A bound taken from the score without its
+    # tol margins would still cover the old pair and keep it.
+    monkeypatch.setattr(core, "EXACT_ROUTE", 0)  # every row takes the GEMM route
+    rng = np.random.default_rng(4)
+    e0, e1 = np.eye(2)
+    far = np.sqrt(0.25 + 0.045)
+    behind = np.sqrt((far - 0.03) ** 2 + 1e-7)
+    for _ in range(16):
+        c = rng.uniform(6e5, 1e6, size=2)
+        data = Dataset(c[None, :])
+        ms = make_map(c + np.vstack([0.3 * e0, -0.5 * e0, far * e1, -10 * e1]))
+        search = PrunedSearch(data)
+        assert search(ms).second[0] == 1
+        ms.weights = c + np.vstack([0.3 * e0, -behind * e0, (far - 0.03) * e1, -10 * e1])
+        asg = search(ms)
+        assert asg.second[0] == 2
+        assert _same_as_exact(asg, data.patterns, ms.weights)
+
+
+def test_pruned_search_bound_after_an_overflowing_distance():
+    # neuron 2 starts so far away that its squared distance overflows to
+    # inf, then comes between the pattern's pair in two finite steps; an
+    # infinite bound would never let the row be searched again
+    patterns = np.array([[-7e153]])
+    ms = make_map([[-7e153 + 1e140], [-7e153 + 2e140], [7e153]])
+    search = PrunedSearch(Dataset(patterns))
+    for x in (7e153, 0.0, -7e153 + 1.5e140):
+        ms.weights = ms.weights.copy()
+        ms.weights[2, 0] = x
+        asg = search(ms)
+        assert _same_as_exact(asg, patterns, ms.weights)
+    assert asg.second[0] == 2
+
+
+def test_assign_all_memory_is_bounded_by_the_chunk(monkeypatch):
     # the brute-force search would need an n*m*d temporary of 1.8 GB here
     rng = np.random.default_rng(2)
     data = Dataset(rng.normal(size=(20000, 16)))
     ms = make_map(rng.normal(size=(707, 16)))
-    tracemalloc.start()
-    try:
-        assign_all(data, ms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(lambda: assign_all(data, ms)) < 32e6
+
+    # pruned epochs carry O(n) state; at m*d > EXACT_ROUTE every row searched
+    # again takes the chunked GEMM route (the brute-force route is capped at
+    # EXACT_ROUTE entries)
+    search = PrunedSearch(data)
+    search(ms)
+    rows, on = _spy_pruned_routes(monkeypatch)
+    on[0] = True
+    ms.weights = ms.weights + 1e-9
+    assert peak_of(lambda: search(ms)) < 32e6
+    assert rows["gemm"] < data.n and rows["exact"] == 0
+    ms.weights = ms.weights.copy()
+    ms.weights[0] = 100.0  # a far jump leaves no bound positive
+    rows.clear()
+    assert peak_of(lambda: search(ms)) < 32e6
+    assert rows["gemm"] == data.n
 
 
 def test_assign_all_dimension_mismatch():

@@ -575,6 +575,22 @@ def _enforce_degree_every_neuron(map_state, q):
     return events
 
 
+def _prune_with_an_edge_loop(map_state, age_max):
+    """Aged-out edges cut with one event built per edge in a Python loop:
+    the reference that ``prune_edges_and_neurons`` must match event for
+    event."""
+    events = []
+    aged = map_state.edges & (map_state.ages >= age_max)
+    for a, b in np.argwhere(np.triu(aged, 1)):
+        events.append(
+            {"kind": "edge_aged_out", "edge": (int(a), int(b)), "age": int(map_state.ages[a, b])}
+        )
+    map_state.edges[aged] = False
+    map_state.ages[aged] = 0
+    events += _remove_isolated(map_state)
+    return events
+
+
 def test_degree_cap_drops_only_the_oldest_edge():
     ms = make_map(
         np.zeros((6, 2)),
@@ -733,8 +749,13 @@ def test_structural_steps_keep_the_invariants_property():
         ms.validate(q_max=q)
         assert ms.m >= 2
 
-        pruned = ms.copy()
-        prune_edges_and_neurons(pruned, age_max)
+        pruned, expected = ms.copy(), ms.copy()
+        events = prune_edges_and_neurons(pruned, age_max)
+        # the same events, in plain ints, and the same map as the edge loop
+        assert events == _prune_with_an_edge_loop(expected, age_max)
+        aged_out = [e for e in events if e["kind"] == "edge_aged_out"]
+        assert all(type(v) is int for e in aged_out for v in (*e["edge"], e["age"]))
+        assert_same_map(pruned, expected)
         pruned.validate(q_max=q)
         assert pruned.m >= 2
         # exactly the aged edges go; removed neurons were isolated

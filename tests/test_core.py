@@ -242,8 +242,8 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
         log_step=st.floats(-8, -1),
         jumps=st.lists(st.integers(1, 11), max_size=3),
     )
-    # a far jump of one neuron lowers every bound past its pair, so all 60
-    # rows of this example take the GEMM route at step 4
+    # at step 4 one neuron jumps onto another, which lowers every bound past
+    # its pair, so all 60 rows of this example take the GEMM route
     @hypothesis.example(
         seed=1, n=60, m=30, d=16, log_scale=0.0, offset=0.0, duplicates=0,
         rounded=False, log_step=-6.0, jumps=[4],

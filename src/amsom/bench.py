@@ -72,13 +72,11 @@ def parse_label_column(raw: str) -> int | str | None:
     """A label column as written in a spec file or on the command line: an
     integer is a 0-based index, "none" or "null" means no label column, and
     anything else is a header name."""
-    try:
-        return int(raw)
-    except ValueError:
-        return None if raw.lower() in ("none", "null") else raw
+    return _parse_scalar(raw, "int | str | None")
 
 
 def _parse_scalar(raw: str, type_hint: str):
+    """Type one value by a field annotation, or raise ValueError."""
     raw = raw.strip()
     if "None" in type_hint and raw.lower() in ("none", "null"):
         return None
@@ -87,11 +85,15 @@ def _parse_scalar(raw: str, type_hint: str):
             return True
         if raw.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if "int" in type_hint and "str" not in type_hint:
-        return int(raw)
-    if "float" in type_hint:
-        return float(raw)
+        raise ValueError(raw)
+    try:
+        if "int" in type_hint:
+            return int(raw)
+        if "float" in type_hint:
+            return float(raw)
+    except ValueError:
+        if "str" not in type_hint:
+            raise
     return raw
 
 
@@ -114,48 +116,36 @@ def read_config_file(path) -> dict:
     return values
 
 
-_SPEC_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentSpec) if f.name != "config"}
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
-
-
-def apply_config_values(values: dict, config: TrainConfig) -> TrainConfig:
-    """Overlay flat key/value pairs (TrainConfig field names) onto a config."""
+def apply_config_values(values: dict, target):
+    """Overlay flat key/value strings onto a TrainConfig or an ExperimentSpec
+    (but not its nested ``config``), typed by each field's annotation."""
+    fields = {f.name: f for f in dataclasses.fields(target) if f.name != "config"}
     updates = {}
     for key, raw in values.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in fields:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            updates[key] = _parse_scalar(raw, str(_CONFIG_FIELDS[key].type))
+            updates[key] = _parse_scalar(raw, str(fields[key].type))
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return replace(config, **updates)
+    return replace(target, **updates)
 
 
 def experiment_spec_from_file(path) -> ExperimentSpec:
     """Build an ExperimentSpec from a flat key = value file.
 
     Keys are ExperimentSpec field names plus TrainConfig field names; unknown
-    keys are rejected.
+    keys are rejected and ``dataset`` is required.
     """
     values = read_config_file(path)
-    if "dataset" not in values:
-        raise ConfigError(f"{path}: missing required key 'dataset'")
-    spec_kwargs = {}
-    config_values = {}
-    for key, raw in values.items():
-        if key == "label_column":
-            spec_kwargs[key] = parse_label_column(raw)
-        elif key in _SPEC_FIELDS:
-            try:
-                spec_kwargs[key] = _parse_scalar(raw, str(_SPEC_FIELDS[key].type))
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from None
-        elif key in _CONFIG_FIELDS:
-            config_values[key] = raw
-        else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    spec = ExperimentSpec(config=apply_config_values(config_values, TrainConfig()), **spec_kwargs)
-    spec.validate()
+    config_keys = [f.name for f in dataclasses.fields(TrainConfig) if f.name in values]
+    config_values = {k: values.pop(k) for k in config_keys}
+    try:
+        config = apply_config_values(config_values, TrainConfig())
+        spec = apply_config_values(values, ExperimentSpec(dataset="", config=config))
+        spec.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return spec
 
 
@@ -272,8 +262,9 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     run_XX_amsom.json / run_XX_som.json snapshots, runs.csv, summary.csv and
     summary.txt. Two invocations with the same spec produce identical bytes.
 
-    A failing run aborts the experiment: partial aggregates are written with
-    a FAILED marker and the error re-raised.
+    A failing run aborts the experiment: the runs completed before it (both
+    snapshots written) are aggregated as usual, summary.txt names the failed
+    run after a FAILED marker, and the error is re-raised.
     """
     spec.validate()
     full = load_dataset(spec.dataset, spec.label_column, seed=spec.config.seed)
@@ -285,7 +276,7 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     fractions = (spec.train_frac, spec.test_frac, spec.val_frac)
 
     records: list = []
-    failed = None
+    error = None
     try:
         for run in range(spec.runs):
             split_seed, model_seed = _derived_seeds(spec.config.seed, run)
@@ -300,7 +291,6 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
                 train_data, test_data, run_cfg, sizing=sizing, epoch_hook=epoch_hook
             )
             for algorithm, (map_state, labels, record) in fits.items():
-                records.append({"algorithm": algorithm, "run": run, **record})
                 export_snapshot_json(
                     map_state,
                     out / f"run_{run:02d}_{algorithm}.json",
@@ -308,15 +298,15 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
                     config=dataclasses.asdict(cfg),
                     metrics={k: v for k, v in record.items() if k != "dead_fraction_train"},
                 )
+            records += [{"algorithm": a, "run": run, **rec} for a, (_, _, rec) in fits.items()]
     except Exception as exc:
-        failed = f"run {len(records) // 2}: {exc}"
-        if records:
-            summary = _aggregate(records)
-            _write_runs_csv(out, records)
-            _write_summary(out, summary, len(records) // 2, failed)
-        raise
+        error = exc
 
-    summary = _aggregate(records)
-    _write_runs_csv(out, records)
-    _write_summary(out, summary, spec.runs, None)
+    done = len(records) // 2
+    summary = _aggregate(records) if records else None
+    if records:
+        _write_runs_csv(out, records)
+        _write_summary(out, summary, done, None if error is None else f"run {done}: {error}")
+    if error is not None:
+        raise error
     return summary

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, MapState
+from .core import _MAX_SCALE, Dataset, MapState
 from .errors import ConfigError, DataError
 
 RECTANGULAR = "rectangular"
@@ -188,6 +188,10 @@ def create_initial_map(data: Dataset, config, sizing: Dataset | None = None):
     copy with sigma0 resolved by ``initial_sigma`` when it was unset.
     """
     config.validate()
+    # weights start inside the data's range and a split scales one by at most
+    # 1.5, so d * (2.5 * max|x|)^2 sizes the squared distances the search sees
+    if 2.5 * np.abs(data.patterns).max() >= math.sqrt(_MAX_SCALE / data.d):
+        raise DataError("pattern values too large: squared distances would overflow")
     src = sizing if sizing is not None else data
     target = target_neuron_count(src.n)
     rows, cols = side_lengths(src, target)

@@ -29,6 +29,8 @@ PALETTE = [
     "#ccb974",
     "#64b5cd",
 ]
+# Side of the square SVG canvas and the blank border inside it, in pixels.
+SVG_SIZE, SVG_MARGIN = 640, 40
 
 
 def snapshot_dict(
@@ -166,7 +168,7 @@ def load_snapshot(path) -> tuple[MapState, dict]:
     return snapshot_to_map(payload), payload
 
 
-def render_svg(map_state: MapState, path, labels=None, size: int = 640, margin: int = 40) -> None:
+def render_svg(map_state: MapState, path, labels=None) -> None:
     """Draw the map: one line per edge, one circle per neuron.
 
     Neurons are placed at their positions scaled into the canvas (y flipped so
@@ -176,17 +178,17 @@ def render_svg(map_state: MapState, path, labels=None, size: int = 640, margin: 
     pos = map_state.positions
     lo = pos.min(axis=0)
     span = pos.max(axis=0) - lo
-    scale = (size - 2 * margin) / max(float(span.max()), 1e-12)
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / max(float(span.max()), 1e-12)
 
     def to_canvas(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = size - margin - (p[1] - lo[1]) * scale
+        x = SVG_MARGIN + (p[0] - lo[0]) * scale
+        y = SVG_SIZE - SVG_MARGIN - (p[1] - lo[1]) * scale
         return x, y
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     i, j = np.nonzero(np.triu(map_state.edges, 1))
     for a, b in zip(i, j):

@@ -10,11 +10,13 @@ from amsom.bench import (
     apply_config_values,
     experiment_spec_from_file,
     load_dataset,
+    parse_label_column,
     read_config_file,
     run_experiment,
     run_single,
 )
 from amsom.cli import main
+from amsom.core import Dataset
 from amsom.datasets import split_dataset
 from amsom.engine import TrainConfig
 from amsom.errors import ConfigError
@@ -65,6 +67,39 @@ def test_apply_config_values_typing():
         apply_config_values({"not_a_field": "1"}, TrainConfig())
     with pytest.raises(ConfigError):
         apply_config_values({"gamma": "abc"}, TrainConfig())
+
+
+SPEC = ExperimentSpec(dataset="x.csv")
+
+
+@pytest.mark.parametrize(
+    "target, key, raw, expected",
+    [
+        (SPEC, "normalize", "true", True),
+        (SPEC, "normalize", "false", False),
+        (SPEC, "normalize", "no", False),
+        (SPEC, "normalize", "0", False),
+        (SPEC, "normalize", "maybe", ConfigError),
+        (TrainConfig(q_max=3), "q_max", "none", None),
+        (TrainConfig(sigma0=2.0), "sigma0", "null", None),
+        (SPEC, "label_column", "None", None),
+        (SPEC, "label_column", "2", 2),
+        (SPEC, "label_column", "-1", -1),
+        (SPEC, "label_column", " species", "species"),
+        (TrainConfig(), "max_epochs", "2.0", ConfigError),
+        (SPEC, "runs", "2.0", ConfigError),
+        (SPEC, "config", "x", ConfigError),
+    ],
+)
+def test_overlay_types_each_value_by_its_field(target, key, raw, expected):
+    if expected is ConfigError:
+        with pytest.raises(ConfigError, match=key):
+            apply_config_values({key: raw}, target)
+        return
+    result = getattr(apply_config_values({key: raw}, target), key)
+    assert result == expected and type(result) is type(expected)
+    if key == "label_column":  # the --label-column reader is the same parser
+        assert parse_label_column(raw) == expected
 
 
 def test_experiment_spec_from_file(tmp_path, blob_csv):
@@ -168,6 +203,63 @@ def test_run_experiment_outputs(blob_csv, tmp_path):
             stat = summary[record["algorithm"]][record["metric"]]
             assert float(record["mean"]) == stat["mean"]
             assert float(record["std"]) == stat["std"]
+
+
+def test_spec_file_normalize_fits_the_scaling_on_the_training_split(blob_csv, tmp_path):
+    spec_file = tmp_path / "exp.cfg"
+    spec_file.write_text(
+        f"dataset = {blob_csv}\nruns = 1\nlabel_column = label\nnormalize = true\n"
+        "max_epochs = 30\nsigma_decay_epochs = 6\nsmooth_max_epochs = 15\n"
+    )
+    outputs = []
+    for sub in ("a", "b"):
+        assert main(["bench", str(spec_file), "--out", str(tmp_path / sub)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()})
+    assert outputs[0] == outputs[1]
+
+    # the recorded errors are those of the map on splits scaled by the
+    # training split's own per-feature range
+    full = load_dataset(str(blob_csv), "label")
+    train_data, test_data, _ = split_dataset(full, (0.6, 0.2, 0.2), _derived_seeds(0, 0)[0])
+    lo = train_data.patterns.min(axis=0)
+    span = train_data.patterns.max(axis=0) - lo
+    for algorithm in ("amsom", "som"):
+        ms, payload = load_snapshot(tmp_path / "a" / f"run_00_{algorithm}.json")
+        for split, key in ((train_data, "qe_train"), (test_data, "qe_test")):
+            scaled = Dataset((split.patterns - lo) / span, split.labels)
+            assert quality_report(scaled, ms).qe == payload["metrics"][key]
+
+
+def _two_run_spec(tmp_path, blob_csv):
+    spec = tmp_path / "exp.cfg"
+    spec.write_text(
+        f"dataset = {blob_csv}\nruns = 2\nlabel_column = label\n"
+        "max_epochs = 5\nsigma_decay_epochs = 2\nsmooth_max_epochs = 3\n"
+    )
+    return spec
+
+
+def test_failed_run_keeps_the_completed_runs_and_names_itself(blob_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "run_01_amsom.json").mkdir(parents=True)
+    assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
+
+    with open(out / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["algorithm"], r["run"]) for r in rows] == [("amsom", "0"), ("som", "0")]
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[0] == "runs: 1"
+    assert lines[1].startswith("FAILED: run 1: ")
+    with open(out / "summary.csv") as fh:
+        means = {(r["algorithm"], r["metric"]): float(r["mean"]) for r in csv.DictReader(fh)}
+    assert means[("amsom", "qe_train")] == float(rows[0]["qe_train"])
+
+    # a failure in the first run leaves no run to summarise
+    out = tmp_path / "first"
+    (out / "run_00_som.json").mkdir(parents=True)
+    assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["run_00_amsom.json", "run_00_som.json"]
+    capsys.readouterr()  # keep the error lines out of the test log
 
 
 def test_run_single_returns_one_record_per_map(blob_csv):
@@ -286,6 +378,13 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     one_column = tmp_path / "one_column.csv"
     one_column.write_text("\n".join(str(v) for v in range(20)) + "\n")
     assert main(["train", str(one_column), "--out", str(tmp_path / "one.json")]) == 2
+
+    # data whose squared distances would overflow is a data fault too
+    huge = tmp_path / "huge.csv"
+    rng = np.random.default_rng(3)
+    rows = (rng.normal(size=(60, 2)) * 1e155).tolist()
+    huge.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+    assert main(["train", str(huge), "--out", str(tmp_path / "huge.json")]) == 2
 
     # a structurally broken snapshot is malformed input data
     out = tmp_path / "map.json"

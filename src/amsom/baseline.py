@@ -8,7 +8,7 @@ no position updates, no edge aging, no neuron addition or removal.
 from __future__ import annotations
 
 from .core import Dataset, MapState, assign_all
-from .engine import TrainConfig, _run_epochs, _SigmaSchedule, batch_weight_update
+from .engine import TrainConfig, _pairwise_sq, _run_epochs, _SigmaSchedule, batch_weight_update
 
 
 def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
@@ -16,18 +16,20 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
 
     Winners are found against the epoch-start weights, then every weight is
     replaced by its kernel-weighted average of winner means. R, E and A are
-    left untouched; win counts accumulate for reporting. The sigma schedule
-    and the epoch loop are shared with the adaptive trainer; since this
-    lattice never deforms, its cell width stays at one cell, so the
-    schedule's late retargeting aims at sigma_final itself.
+    left untouched, so the lattice distances are computed once per run; win
+    counts accumulate for reporting. The sigma schedule and the epoch loop
+    are shared with the adaptive trainer; since this lattice never deforms,
+    its cell width stays at one cell, so the schedule's late retargeting
+    aims at sigma_final itself.
     """
     config.validate()
     schedule = _SigmaSchedule(config, map_state)
+    sq_dist = _pairwise_sq(map_state.positions)
 
     def step(epoch, asg):
         sigma, _ = schedule.step(epoch, map_state)
         map_state.win_count += asg.wins
-        map_state.weights = batch_weight_update(map_state, asg, data, sigma)
+        map_state.weights = batch_weight_update(map_state, asg, data, sigma, sq_dist=sq_dist)
         return assign_all(data, map_state), []
 
     return map_state, _run_epochs(data, map_state, config.max_epochs, config.eps1, step, progress)

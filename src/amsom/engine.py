@@ -156,18 +156,24 @@ def batch_weight_update(
     assignment: Assignment,
     data: Dataset,
     sigma: float,
+    *,
+    sq_dist: np.ndarray | None = None,
 ) -> np.ndarray:
     """One batch weight step: kernel-weighted average of winner means.
 
     Every neuron's new weight is sum_j n_j h_ji x_j / sum_j n_j h_ji over the
     neurons j that won patterns (x_j their mean pattern, h the output-space
     kernel at the current positions). Neurons whose denominator is zero keep
-    their previous weight. Returns the new weight matrix without touching the
-    map.
+    their previous weight. ``sq_dist``, if given, holds the m x m squared
+    distances of the current positions, for a caller whose positions never
+    move; by default they are computed here. Returns the new weight matrix
+    without touching the map.
     """
     n = assignment.wins.astype(np.float64)
     xbar = winner_means(data, assignment)
-    k = n[:, None] * _output_kernel(map_state.positions, sigma)
+    if sq_dist is None:
+        sq_dist = _pairwise_sq(map_state.positions)
+    k = n[:, None] * np.exp(-sq_dist / (sigma * sigma))
     den = k.sum(axis=0)
     num = k.T @ xbar
     new_w = map_state.weights.copy()
@@ -203,21 +209,22 @@ def position_update(
     return new_r
 
 
-def _edge_step(pairs, wins, points, width2, toward, state, rate):
-    """Move each target row of ``state`` by ``rate`` times the mean of
-    toward[s] - state[t] over its (t, s) ``pairs``, weighted by wins[s] *
-    exp(-|points[s] - points[t]|^2 / width2). Sums run in pair order
-    (``np.bincount``), not in a BLAS order. Targets whose weights sum to
-    zero keep their row. Returns the new array."""
-    t, s = pairs
-    gap = points[s] - points[t]
-    k = wins[s] * np.exp(-np.einsum("ed,ed->e", gap, gap) / width2)
-    pull = toward[s] - state[t]
-    den = np.bincount(t, weights=k, minlength=len(state))
-    num = np.column_stack([np.bincount(t, weights=k * p, minlength=len(state)) for p in pull.T])
-    ok = den > 0.0
+def _pull(state, t, bins, k, pull, rate):
+    """Move each target row of ``state`` by ``rate`` times the k-weighted
+    mean of the ``pull`` rows of its pairs, whose targets are ``t``. ``bins``
+    numbers the flattened (pair, coordinate) entries by (target,
+    coordinate), so one ``np.bincount`` sums every coordinate in pair order,
+    not in a BLAS order. Targets whose weights sum to zero keep their row.
+    Returns the new array."""
+    m, dim = state.shape
+    den = np.bincount(t, weights=k, minlength=m)
+    num = np.bincount(bins, weights=(k[:, None] * pull).ravel(), minlength=m * dim)
+    ok = (den > 0.0)[:, None]
+    # float64 buffers: bincount over no pairs returns int64
+    mean = np.zeros((m, dim))
+    np.divide(num.reshape(m, dim), den[:, None], out=mean, where=ok)
     new = state.copy()
-    new[ok] += rate * (num[ok] / den[ok, None])
+    np.add(new, rate * mean, out=new, where=ok)
     return new
 
 
@@ -583,7 +590,9 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     error is polished without reshuffling which neurons are closest to
     which patterns; the position step then reads the moved weights. No
     edges or neurons change, so both kernels are evaluated only on the
-    graph's (target, source) pairs: O(edges) per epoch, not O(m^2). Stops
+    graph's (target, source) pairs, listed once per call: O(edges) per
+    epoch, not O(m^2). The win counts and winner means are recomputed only
+    in epochs that start from other winners than the last one did. Stops
     when the epoch-to-epoch error change drops under eps2, or after
     smooth_max_epochs. Returns ``(map_state, reports)``. The epoch loop is
     the one shared with ``train`` and the baseline; after its first
@@ -594,19 +603,36 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
         raise MapStructureError("smoothing needs at least 2 neurons")
 
     # np.nonzero lists pairs by row, then column; the graph is symmetric, so
-    # rows serve as targets and columns as sources
-    with_self = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
-    pairs = np.nonzero(map_state.edges)
+    # rows serve as targets and columns as sources. The position step takes
+    # the off-diagonal pairs in the same order, so both steps sum in pair order.
+    t, s = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
+    off = np.flatnonzero(t != s)
+    t_off, s_off = t[off], s[off]
+    d, dim = map_state.weights.shape[1], map_state.positions.shape[1]
+    w_bins = (t[:, None] * d + np.arange(d)).ravel()
+    r_bins = (t_off[:, None] * dim + np.arange(dim)).ravel()
     sigma = _cell_width_sigma(map_state, config)
+    width2 = config.gamma * sigma * sigma
     rate = config.alpha_smooth
     search = PrunedSearch(data)
+    # the winner statistics gathered at the sources; the data and m are fixed,
+    # so they change only when the winners do
+    winner = n_s = n_off = xbar_s = None
 
     def step(epoch, asg):
-        n = asg.wins.astype(np.float64)
+        nonlocal winner, n_s, n_off, xbar_s
+        if winner is None or not np.array_equal(asg.winner, winner):
+            winner = asg.winner
+            n = asg.wins.astype(np.float64)
+            n_s, n_off = np.take(n, s), np.take(n, s_off)
+            xbar_s = np.take(winner_means(data, asg), s, axis=0)
         w, r = map_state.weights, map_state.positions
-        map_state.weights = _edge_step(with_self, n, r, sigma * sigma, winner_means(data, asg), w, rate)
-        width2 = config.gamma * sigma * sigma
-        map_state.positions = _edge_step(pairs, n, map_state.weights, width2, r, r, rate)
+        gap = np.take(r, s, axis=0) - np.take(r, t, axis=0)
+        k = n_s * np.exp(-np.einsum("ed,ed->e", gap, gap) / (sigma * sigma))
+        map_state.weights = w = _pull(w, t, w_bins, k, xbar_s - np.take(w, t, axis=0), rate)
+        w_gap = np.take(w, s_off, axis=0) - np.take(w, t_off, axis=0)
+        k = n_off * np.exp(-np.einsum("ed,ed->e", w_gap, w_gap) / width2)
+        map_state.positions = _pull(r, t_off, r_bins, k, np.take(gap, off, axis=0), rate)
         return search(map_state), []
 
     return map_state, _run_epochs(

@@ -4,8 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from amsom import engine
 from amsom.baseline import train_batch_som
-from amsom.core import Assignment, Dataset, assign_all, mean_quantization_error, winner_means
+from amsom.core import (
+    Assignment,
+    Dataset,
+    PrunedSearch,
+    assign_all,
+    mean_quantization_error,
+    winner_means,
+)
 from amsom.engine import (
     TrainConfig,
     _apply_epoch_edges,
@@ -13,6 +21,7 @@ from amsom.engine import (
     _input_kernel,
     _output_kernel,
     _remove_isolated,
+    _run_epochs,
     _sigma_at,
     _SigmaSchedule,
     batch_weight_update,
@@ -297,6 +306,119 @@ def test_smooth_epoch_matches_the_dense_masked_formula_property():
         _check_smooth_epoch_against_dense(ms, data)
 
     check()
+
+
+def _edge_step(pairs, wins, points, width2, toward, state, rate):
+    """Move each target row of ``state`` by ``rate`` times the mean of
+    toward[s] - state[t] over its (t, s) ``pairs``, weighted by wins[s] *
+    exp(-|points[s] - points[t]|^2 / width2), summed in pair order. Targets
+    whose weights sum to zero keep their row. Returns the new array."""
+    t, s = pairs
+    gap = points[s] - points[t]
+    k = wins[s] * np.exp(-np.einsum("ed,ed->e", gap, gap) / width2)
+    pull = toward[s] - state[t]
+    den = np.bincount(t, weights=k, minlength=len(state))
+    num = np.column_stack([np.bincount(t, weights=k * p, minlength=len(state)) for p in pull.T])
+    ok = den > 0.0
+    new = state.copy()
+    new[ok] += rate * (num[ok] / den[ok, None])
+    return new
+
+
+def _smooth_by_the_epoch_formula(data, ms, cfg):
+    """``smooth`` with nothing carried between epochs but the winner search:
+    pairs gathered, win counts and winner means computed afresh every epoch.
+    Returns (map, reports, the winner vector each epoch started from)."""
+    with_self = np.nonzero(ms.edges | np.eye(ms.m, dtype=bool))
+    pairs = np.nonzero(ms.edges)
+    sigma = _cell_width_sigma(ms, cfg)
+    search = PrunedSearch(data)
+    starts = []
+
+    def step(epoch, asg):
+        starts.append(asg.winner)
+        n = asg.wins.astype(np.float64)
+        w, r = ms.weights, ms.positions
+        ms.weights = _edge_step(
+            with_self, n, r, sigma * sigma, winner_means(data, asg), w, cfg.alpha_smooth
+        )
+        width2 = cfg.gamma * sigma * sigma
+        ms.positions = _edge_step(pairs, n, ms.weights, width2, r, r, cfg.alpha_smooth)
+        return search(ms), []
+
+    reports = _run_epochs(data, ms, cfg.smooth_max_epochs, cfg.eps2, step, None)
+    return ms, reports, starts
+
+
+def _winner_changes(starts):
+    return sum(not np.array_equal(a, b) for a, b in zip(starts, starts[1:]))
+
+
+def _check_smooth_against_the_epoch_formula(data, ms, cfg):
+    """Bit for bit: weights, positions and every report's error. Returns the
+    winner vector each epoch started from."""
+    want, want_reports, starts = _smooth_by_the_epoch_formula(data, ms.copy(), cfg)
+    got, reports = smooth(data, ms.copy(), cfg)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.positions, want.positions)
+    assert [r.mqe for r in reports] == [r.mqe for r in want_reports]
+    return starts
+
+
+def _iris_smoothing_case(iris):
+    # at alpha_smooth 0.01 the winners of this map change in about one
+    # epoch out of six, so the run both reuses and refreshes its statistics
+    ms, cfg = create_initial_map(iris, TrainConfig(seed=3, max_epochs=10, sigma_decay_epochs=8))
+    train(iris, ms, cfg)
+    return ms, replace(cfg, alpha_smooth=0.01, smooth_max_epochs=60)
+
+
+def test_smooth_matches_the_epoch_formula_over_many_epochs(iris):
+    ms, cfg = _iris_smoothing_case(iris)
+    starts = _check_smooth_against_the_epoch_formula(iris, ms, cfg)
+    assert len(starts) == 60
+    assert _winner_changes(starts) >= 3
+
+
+def test_smooth_matches_the_epoch_formula_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 10),
+        d=st.integers(2, 4),
+        n=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        alpha=st.floats(0.01, 0.9),
+    )
+    @hypothesis.example(seed=1, m=5, d=2, n=20, density=0.0, alpha=0.3)
+    @hypothesis.example(seed=2, m=2, d=3, n=12, density=1.0, alpha=0.3)
+    def check(seed, m, d, n, density, alpha):
+        rng = np.random.default_rng(seed)
+        edges = np.triu(rng.random((m, m)) < density, 1)
+        ms = make_map(rng.normal(size=(m, d)), positions=rng.normal(size=(m, 2)))
+        ms.edges = edges | edges.T
+        data = Dataset(rng.normal(size=(n, d)))
+        cfg = TrainConfig(alpha_smooth=alpha, smooth_max_epochs=50)
+        _check_smooth_against_the_epoch_formula(data, ms, cfg)
+
+    check()
+
+
+def test_smooth_recomputes_winner_means_only_when_the_winners_change(iris, monkeypatch):
+    ms, cfg = _iris_smoothing_case(iris)
+    _, _, starts = _smooth_by_the_epoch_formula(iris, ms.copy(), cfg)
+    calls = []
+
+    def counted(data, asg):
+        calls.append(asg.winner)
+        return winner_means(data, asg)
+
+    monkeypatch.setattr(engine, "winner_means", counted)
+    smooth(iris, ms.copy(), cfg)
+    assert len(calls) == 1 + _winner_changes(starts) < len(starts)
 
 
 # ------------------------------------------------------------- edge bookkeeping

@@ -143,10 +143,6 @@ def _pairwise_sq(points: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _output_kernel(positions: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-_pairwise_sq(positions) / (sigma * sigma))
-
-
 def _input_kernel(weights: np.ndarray, sigma: float, gamma: float) -> np.ndarray:
     return np.exp(-_pairwise_sq(weights) / (gamma * sigma * sigma))
 
@@ -608,9 +604,9 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     t, s = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
     off = np.flatnonzero(t != s)
     t_off, s_off = t[off], s[off]
-    d, dim = map_state.weights.shape[1], map_state.positions.shape[1]
-    w_bins = (t[:, None] * d + np.arange(d)).ravel()
-    r_bins = (t_off[:, None] * dim + np.arange(dim)).ravel()
+    d_w, d_r = map_state.weights.shape[1], map_state.positions.shape[1]
+    w_bins = (t[:, None] * d_w + np.arange(d_w)).ravel()
+    r_bins = (t_off[:, None] * d_r + np.arange(d_r)).ravel()
     sigma = _cell_width_sigma(map_state, config)
     width2 = config.gamma * sigma * sigma
     rate = config.alpha_smooth

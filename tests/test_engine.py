@@ -19,7 +19,7 @@ from amsom.engine import (
     _apply_epoch_edges,
     _cell_width_sigma,
     _input_kernel,
-    _output_kernel,
+    _pairwise_sq,
     _remove_isolated,
     _run_epochs,
     _sigma_at,
@@ -212,6 +212,10 @@ def test_position_update_masked_to_graph_neighbors():
             den += counts[j] * delta
         expect = ms.positions[i] + (0.1 * num / den if den > 0 else 0.0)
         assert np.max(np.abs(got[i] - expect)) < 1e-12
+
+
+def _output_kernel(positions, sigma):
+    return np.exp(-_pairwise_sq(positions) / (sigma * sigma))
 
 
 def _dense_smooth_epoch(ms, data, cfg):

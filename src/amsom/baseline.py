@@ -22,7 +22,6 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
     its cell width stays at one cell, so the schedule's late retargeting
     aims at sigma_final itself.
     """
-    config.validate()
     schedule = _SigmaSchedule(config, map_state)
     sq_dist = _pairwise_sq(map_state.positions)
 

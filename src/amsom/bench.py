@@ -15,7 +15,7 @@ import numpy as np
 from .baseline import train_batch_som
 from .core import Dataset
 from .datasets import check_split_fractions, generate_cluster_dataset, load_csv, split_dataset
-from .engine import TrainConfig, smooth, train
+from .engine import TrainConfig, _is_int, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
 from .metrics import quality_report
@@ -33,13 +33,13 @@ SUMMARY_METRICS = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One benchmark definition: dataset, split protocol, repetitions, config.
 
     ``dataset`` is a CSV path or the generator id "cluster". Features are
     used raw unless ``normalize`` turns on per-feature min-max scaling
-    (fitted on each run's training split).
+    (fitted on each run's training split). Checked when built.
     """
 
     dataset: str
@@ -52,13 +52,14 @@ class ExperimentSpec:
     output_dir: str = "bench-out"
     config: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.dataset:
             raise ConfigError("experiment needs a dataset path or generator id")
+        if not _is_int(self.runs):
+            raise ConfigError(f"runs must be an integer, got {self.runs!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         check_split_fractions((self.train_frac, self.test_frac, self.val_frac))
-        self.config.validate()
 
 
 def load_dataset(name: str, label_column=None, seed: int = 0) -> Dataset:
@@ -119,7 +120,11 @@ def read_config_file(path) -> dict:
 def apply_config_values(values: dict, target):
     """Overlay flat key/value strings onto a TrainConfig or an ExperimentSpec
     (but not its nested ``config``), typed by each field's annotation."""
-    fields = {f.name: f for f in dataclasses.fields(target) if f.name != "config"}
+    return replace(target, **_typed_values(values, type(target)))
+
+
+def _typed_values(values: dict, cls) -> dict:
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "config"}
     updates = {}
     for key, raw in values.items():
         if key not in fields:
@@ -128,7 +133,7 @@ def apply_config_values(values: dict, target):
             updates[key] = _parse_scalar(raw, str(fields[key].type))
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return replace(target, **updates)
+    return updates
 
 
 def experiment_spec_from_file(path) -> ExperimentSpec:
@@ -137,16 +142,14 @@ def experiment_spec_from_file(path) -> ExperimentSpec:
     Keys are ExperimentSpec field names plus TrainConfig field names; unknown
     keys are rejected and ``dataset`` is required.
     """
-    values = read_config_file(path)
+    values = {"dataset": "", **read_config_file(path)}  # no dataset fails as an empty one
     config_keys = [f.name for f in dataclasses.fields(TrainConfig) if f.name in values]
     config_values = {k: values.pop(k) for k in config_keys}
     try:
-        config = apply_config_values(config_values, TrainConfig())
-        spec = apply_config_values(values, ExperimentSpec(dataset="", config=config))
-        spec.validate()
+        config = TrainConfig(**_typed_values(config_values, TrainConfig))
+        return ExperimentSpec(**_typed_values(values, ExperimentSpec), config=config)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return spec
 
 
 def _derived_seeds(base_seed: int, run: int) -> tuple[int, int]:
@@ -266,7 +269,6 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     snapshots written) are aggregated as usual, summary.txt names the failed
     run after a FAILED marker, and the error is re-raised.
     """
-    spec.validate()
     full = load_dataset(spec.dataset, spec.label_column, seed=spec.config.seed)
     out = Path(spec.output_dir)
     try:

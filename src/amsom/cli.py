@@ -61,7 +61,6 @@ def _cmd_train(args) -> int:
         key, value = item.split("=", 1)
         values[key.strip()] = value.strip()
     config = apply_config_values(values, TrainConfig())
-    config.validate()
     check_output_path(args.out)
 
     data = load_dataset(args.dataset, args.label_column, seed=config.seed)
@@ -93,7 +92,7 @@ def _cmd_train(args) -> int:
 def _cmd_bench(args) -> int:
     spec = experiment_spec_from_file(args.spec)
     if args.out is not None:
-        spec.output_dir = args.out
+        spec = dataclasses.replace(spec, output_dir=args.out)
     summary = run_experiment(spec)
     for algorithm in ("amsom", "som"):
         stats = summary[algorithm]

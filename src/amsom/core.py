@@ -24,7 +24,7 @@ class Dataset:
     patterns : ndarray of shape (n, d)
         Feature vectors, one row per pattern. Stored as float64.
     labels : ndarray of shape (n,), optional
-        Integer class ids aligned with ``patterns``.
+        Integer class ids aligned with ``patterns``; other labels raise DataError.
     """
 
     patterns: np.ndarray
@@ -39,9 +39,10 @@ class Dataset:
         if not np.all(np.isfinite(self.patterns)):
             raise DataError("patterns contain non-finite values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.patterns.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu" or labels.shape != (self.patterns.shape[0],):
                 raise DataError("labels must be one integer per pattern")
+            self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:

@@ -30,6 +30,11 @@ from .errors import ConfigError, MapStructureError, TrainingError
 from .grid import MAX_DEGREE, RECTANGULAR, growing_threshold, initial_sigma
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All tunables of the trainer and the baseline.
@@ -44,7 +49,8 @@ class TrainConfig:
     over sigma_decay_epochs and is then held (max_epochs remains the hard
     stop). The decay aims at sigma_final; once the layout freezes, the
     remaining decay is retargeted at the map's own cell width, which on an
-    undeformed lattice is sigma_final itself.
+    undeformed lattice is sigma_final itself. Building a config, directly or
+    through ``dataclasses.replace``, checks every field (ConfigError).
     """
 
     sf: float = 0.5
@@ -65,23 +71,23 @@ class TrainConfig:
     beta_mode: str = "gaussian"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not 0.0 < self.sf < 1.0:
-            raise ConfigError(f"sf must be in (0, 1), got {self.sf}")
+            if f.type.startswith("int") and value is not None and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        for name in ("sf", "alpha_train", "alpha_smooth"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1), got {value}")
         if self.gamma <= 0.0:
             raise ConfigError("gamma must be positive")
-        for name in ("alpha_train", "alpha_smooth"):
-            a = getattr(self, name)
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {a}")
-        if self.age_max < 1:
-            raise ConfigError("age_max must be at least 1")
-        if self.t_add < 1:
-            raise ConfigError("t_add must be at least 1")
+        for name in ("age_max", "t_add", "sigma_decay_epochs", "q_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.max_epochs < 1 or self.smooth_max_epochs < 1:
             raise ConfigError("epoch caps must be at least 1")
         if not 0.0 < self.eps2 < self.eps1:
@@ -90,15 +96,11 @@ class TrainConfig:
             raise ConfigError("sigma_final must be positive")
         if self.sigma0 is not None and self.sigma0 < self.sigma_final:
             raise ConfigError("sigma0 must be >= sigma_final")
-        if self.sigma_decay_epochs < 1:
-            raise ConfigError("sigma_decay_epochs must be at least 1")
         if self.topology not in MAX_DEGREE:
             raise ConfigError(f"unknown topology {self.topology!r}")
-        if self.q_max is not None and self.q_max < 1:
-            raise ConfigError("q_max must be at least 1")
         if self.beta_mode not in ("gaussian", "zero"):
             raise ConfigError(f"unknown beta_mode {self.beta_mode!r}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
     @property
@@ -533,7 +535,6 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     every EpochReport as it is produced. The epoch loop is the one shared
     with ``smooth`` and the baseline.
     """
-    config.validate()
     if map_state.m < 2:
         raise MapStructureError("training needs at least 2 neurons")
     gt = growing_threshold(data.d, config.sf)
@@ -594,7 +595,6 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     the one shared with ``train`` and the baseline; after its first
     ``assign_all``, ``PrunedSearch`` finds each epoch's winners.
     """
-    config.validate()
     if map_state.m < 2:
         raise MapStructureError("smoothing needs at least 2 neurons")
 

@@ -187,7 +187,6 @@ def create_initial_map(data: Dataset, config, sizing: Dataset | None = None):
     weight ranges always come from ``data``. Returns the map plus a config
     copy with sigma0 resolved by ``initial_sigma`` when it was unset.
     """
-    config.validate()
     # weights start inside the data's range and a split scales one by at most
     # 1.5, so d * (2.5 * max|x|)^2 sizes the squared distances the search sees
     if 2.5 * np.abs(data.patterns).max() >= math.sqrt(_MAX_SCALE / data.d):

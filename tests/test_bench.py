@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -141,13 +142,25 @@ def test_experiment_spec_from_file(tmp_path, blob_csv):
 
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
-        ExperimentSpec(dataset="").validate()
+        ExperimentSpec(dataset="")
     with pytest.raises(ConfigError):
-        ExperimentSpec(dataset="x.csv", runs=0).validate()
+        ExperimentSpec(dataset="x.csv", runs=0)
     with pytest.raises(ConfigError):
-        ExperimentSpec(dataset="x.csv", train_frac=0.9, test_frac=0.2, val_frac=0.2).validate()
+        ExperimentSpec(dataset="x.csv", train_frac=0.9, test_frac=0.2, val_frac=0.2)
     with pytest.raises(ConfigError, match="finite"):
-        ExperimentSpec(dataset="x.csv", train_frac=float("nan")).validate()
+        ExperimentSpec(dataset="x.csv", train_frac=float("nan"))
+    for runs in (1.5, 2.0, True):
+        with pytest.raises(ConfigError, match="runs must be an integer"):
+            ExperimentSpec(dataset="x.csv", runs=runs)
+    assert ExperimentSpec(dataset="x.csv", runs=np.int64(3)).runs == 3
+    assert not hasattr(ExperimentSpec, "validate")
+    # frozen, so a changed spec comes from replace, which checks it again
+    spec = ExperimentSpec(dataset="x.csv")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.output_dir = "elsewhere"
+    assert dataclasses.replace(spec, output_dir="elsewhere").output_dir == "elsewhere"
+    with pytest.raises(ConfigError, match="runs must be at least 1"):
+        dataclasses.replace(spec, runs=0)
 
 
 def test_load_dataset_generator_id():

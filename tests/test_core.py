@@ -42,6 +42,16 @@ def test_dataset_rejects_bad_input():
         Dataset([[1.0], [2.0]], labels=[0])  # wrong label length
 
 
+def test_dataset_rejects_labels_that_are_not_integers():
+    patterns = np.zeros((3, 2))
+    bad = ([0.5, 1.7, 2.9], [0.0, 1.0, 2.0], [0, 1, np.nan], [True, False, True], ["a", "b", "c"])
+    for labels in bad:
+        with pytest.raises(DataError, match="one integer per pattern"):
+            Dataset(patterns, labels=labels)
+    for labels in ([0, 1, 2], np.array([2, 0, 1], dtype=np.uint8)):
+        assert Dataset(patterns, labels=labels).labels.dtype == np.int64
+
+
 def test_dataset_subset_keeps_rows_and_labels():
     data = Dataset(np.arange(10.0).reshape(5, 2), labels=[4, 3, 2, 1, 0])
     sub = data.subset([3, 0])

@@ -1098,11 +1098,28 @@ def test_config_validation_rejects_bad_values():
         dict(sigma0=math.nan),
         dict(sigma0=math.inf),
         dict(max_epochs=math.nan),
+        # integer fields take integers only: a float would crash range() or a
+        # slice, or be truncated silently; a bool is no count
+        dict(age_max=2.5),
+        dict(t_add=2.5),
+        dict(max_epochs=2.5),
+        dict(max_epochs=2.0),
+        dict(smooth_max_epochs=3.5),
+        dict(sigma_decay_epochs=2.5),
+        dict(q_max=2.5),
+        dict(seed=1.5),
+        dict(max_epochs=True),
+        dict(seed="1"),
     ]
     for kwargs in bad:
+        # a config checks itself when built, and again when replace builds one
         with pytest.raises(ConfigError):
-            TrainConfig(**kwargs).validate()
-    TrainConfig().validate()
+            TrainConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            replace(TrainConfig(), **kwargs)
+    assert not hasattr(TrainConfig, "validate")
+    cfg = TrainConfig(max_epochs=np.int64(7), seed=np.uint32(3), q_max=np.int32(2))
+    assert (cfg.max_epochs, cfg.seed, cfg.effective_q) == (7, 3, 2)
     assert TrainConfig().effective_q == 4
     assert TrainConfig(topology="hexagonal").effective_q == 6
     assert TrainConfig(q_max=3).effective_q == 3

@@ -10,20 +10,7 @@ from .baseline import train_batch_som
 from .bench import ExperimentSpec, run_experiment
 from .core import Assignment, Dataset, MapState, assign_all
 from .datasets import generate_cluster_dataset, load_csv, split_dataset
-from .engine import (
-    EpochReport,
-    TrainConfig,
-    batch_weight_update,
-    enforce_degree,
-    maybe_add_neuron,
-    neighborhood_input,
-    neighborhood_output,
-    position_update,
-    process_pattern_edges,
-    prune_edges_and_neurons,
-    smooth,
-    train,
-)
+from .engine import EpochReport, TrainConfig, smooth, train
 from .errors import AmsomError, ConfigError, DataError, MapStructureError, TrainingError
 from .grid import (
     HEXAGONAL,
@@ -64,11 +51,9 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "assign_all",
-    "batch_weight_update",
     "build_lattice",
     "create_initial_map",
     "dead_units",
-    "enforce_degree",
     "export_snapshot_json",
     "generate_cluster_dataset",
     "growing_threshold",
@@ -76,12 +61,6 @@ __all__ = [
     "label_neurons",
     "load_csv",
     "load_snapshot",
-    "maybe_add_neuron",
-    "neighborhood_input",
-    "neighborhood_output",
-    "position_update",
-    "process_pattern_edges",
-    "prune_edges_and_neurons",
     "quality_report",
     "render_svg",
     "run_experiment",

@@ -15,9 +15,9 @@ import numpy as np
 from .baseline import train_batch_som
 from .core import Dataset
 from .datasets import check_split_fractions, generate_cluster_dataset, load_csv, split_dataset
-from .engine import TrainConfig, _is_int, smooth, train
+from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
-from .grid import create_initial_map
+from .grid import _check_fields, _read_field, create_initial_map
 from .metrics import quality_report
 from .snapshot import export_snapshot_json
 
@@ -39,7 +39,8 @@ class ExperimentSpec:
 
     ``dataset`` is a CSV path or the generator id "cluster". Features are
     used raw unless ``normalize`` turns on per-feature min-max scaling
-    (fitted on each run's training split). Checked when built.
+    (fitted on each run's training split). Checked when built: a value of a
+    wrong kind (text for a bool or a number, a float for ``runs``) is a ConfigError.
     """
 
     dataset: str
@@ -53,10 +54,9 @@ class ExperimentSpec:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        _check_fields(self, skip=("config",))  # the nested config checked itself
         if not self.dataset:
             raise ConfigError("experiment needs a dataset path or generator id")
-        if not _is_int(self.runs):
-            raise ConfigError(f"runs must be an integer, got {self.runs!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         check_split_fractions((self.train_frac, self.test_frac, self.val_frac))
@@ -73,29 +73,7 @@ def parse_label_column(raw: str) -> int | str | None:
     """A label column as written in a spec file or on the command line: an
     integer is a 0-based index, "none" or "null" means no label column, and
     anything else is a header name."""
-    return _parse_scalar(raw, "int | str | None")
-
-
-def _parse_scalar(raw: str, type_hint: str):
-    """Type one value by a field annotation, or raise ValueError."""
-    raw = raw.strip()
-    if "None" in type_hint and raw.lower() in ("none", "null"):
-        return None
-    if "bool" in type_hint:
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ValueError(raw)
-    try:
-        if "int" in type_hint:
-            return int(raw)
-        if "float" in type_hint:
-            return float(raw)
-    except ValueError:
-        if "str" not in type_hint:
-            raise
-    return raw
+    return _read_field(ExperimentSpec.__dataclass_fields__["label_column"], raw)
 
 
 def read_config_file(path) -> dict:
@@ -125,15 +103,10 @@ def apply_config_values(values: dict, target):
 
 def _typed_values(values: dict, cls) -> dict:
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "config"}
-    updates = {}
-    for key, raw in values.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            updates[key] = _parse_scalar(raw, str(fields[key].type))
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return updates
+    unknown = [key for key in values if key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+    return {key: _read_field(fields[key], raw) for key, raw in values.items()}
 
 
 def experiment_spec_from_file(path) -> ExperimentSpec:

@@ -27,7 +27,7 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _is_integer_label(cell: str) -> bool:
+def _holds_integer_label(cell: str) -> bool:
     """True for a cell holding an integer that fits an int64 class id.
 
     Infinite, NaN and out-of-range numbers are not, so they are read as
@@ -119,7 +119,7 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
 
     labels = None
     if label_idx is not None:
-        if all(_is_integer_label(cell) for cell in raw_labels):
+        if all(_holds_integer_label(cell) for cell in raw_labels):
             labels = np.array([int(float(cell)) for cell in raw_labels], dtype=np.int64)
         else:
             mapping = {value: i for i, value in enumerate(sorted(set(raw_labels)))}

@@ -11,8 +11,7 @@ immediate graph neighborhood only.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +26,7 @@ from .core import (
     winner_means,
 )
 from .errors import ConfigError, MapStructureError, TrainingError
-from .grid import MAX_DEGREE, RECTANGULAR, growing_threshold, initial_sigma
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+from .grid import MAX_DEGREE, RECTANGULAR, _check_fields, growing_threshold, initial_sigma
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,8 @@ class TrainConfig:
     stop). The decay aims at sigma_final; once the layout freezes, the
     remaining decay is retargeted at the map's own cell width, which on an
     undeformed lattice is sigma_final itself. Building a config, directly or
-    through ``dataclasses.replace``, checks every field (ConfigError).
+    through ``dataclasses.replace``, checks every field (ConfigError), kinds
+    too: a bool or text for a number, or a float for an integer, is rejected.
     """
 
     sf: float = 0.5
@@ -72,12 +67,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            if f.type.startswith("int") and value is not None and not _is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        _check_fields(self)
         for name in ("sf", "alpha_train", "alpha_smooth"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

@@ -9,7 +9,7 @@ uniformly inside the per-feature value ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,16 +27,53 @@ MAX_DEGREE = {RECTANGULAR: 4, HEXAGONAL: 6}
 # absurdly elongated grid.
 EIGEN_RATIO_CAP = 10.0
 
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# Every kind a config field annotation names: how messages name it, which
+# values it admits (checked, never coerced), and how a text value reads as one
+# (raising ValueError or KeyError when it cannot).
+_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), int),
+    "float": ("a finite number", lambda v: _KINDS["int"][1](v)
+              or isinstance(v, (float, np.floating)) and math.isfinite(v), float),
+    "bool": ("true or false", lambda v: isinstance(v, bool), lambda t: _BOOL_WORDS[t.lower()]),
+    "str": ("text", lambda v: isinstance(v, str), str),
+    "None": ("None", lambda v: v is None, lambda t: {"none": None, "null": None}[t.lower()]),
+}
+
+
+def _check_fields(obj, skip: tuple = ()) -> None:
+    """Raise ConfigError unless each field of dataclass ``obj`` not named in
+    ``skip`` holds a value of a kind its annotation names."""
+    for f in (f for f in fields(obj) if f.name not in skip):
+        kinds, value = [_KINDS[name] for name in f.type.split(" | ")], getattr(obj, f.name)
+        if not any(admits(value) for _, admits, _ in kinds):
+            names = " or ".join(name for name, _, _ in kinds)
+            raise ConfigError(f"{f.name} must be {names}, got {value!r}")
+
+
+def _read_field(field, raw: str):
+    """Type a text value by a dataclass field's annotation, trying None first
+    and then each kind in order; text no kind reads raises ConfigError."""
+    for name in sorted(field.type.split(" | "), key=lambda name: name != "None"):
+        try:
+            return _KINDS[name][2](raw.strip())
+        except (ValueError, KeyError):
+            pass
+    raise ConfigError(f"bad value for {field.name}: {raw!r}")
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Shape of an initial lattice: rows x cols and topology."""
+    """Shape of an initial lattice: rows x cols and topology. Checked when
+    built: a float or a bool row count, or a non-text topology, is a ConfigError."""
 
     rows: int
     cols: int
     topology: str = RECTANGULAR
 
     def __post_init__(self):
+        _check_fields(self)
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise ConfigError("lattice needs at least two neurons")
         if self.topology not in MAX_DEGREE:

@@ -153,6 +153,23 @@ def test_experiment_spec_validation():
         with pytest.raises(ConfigError, match="runs must be an integer"):
             ExperimentSpec(dataset="x.csv", runs=runs)
     assert ExperimentSpec(dataset="x.csv", runs=np.int64(3)).runs == 3
+    # each field takes its own kind only: "false" would turn normalizing on
+    wrong_kinds = [
+        dict(normalize="false"),
+        dict(normalize=1),
+        dict(train_frac="0.6"),
+        dict(output_dir=3),
+        dict(dataset=5),
+        dict(label_column=1.5),
+        dict(label_column=True),
+    ]
+    for kwargs in wrong_kinds:
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**{"dataset": "x.csv", **kwargs})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ExperimentSpec(dataset="x.csv"), **kwargs)
+    fractions = dict(train_frac=np.float64(0.5), test_frac=0.25, val_frac=0.25)
+    assert type(ExperimentSpec(dataset="x.csv", **fractions).train_frac) is np.float64
     assert not hasattr(ExperimentSpec, "validate")
     # frozen, so a changed spec comes from replace, which checks it again
     spec = ExperimentSpec(dataset="x.csv")

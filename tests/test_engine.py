@@ -1110,6 +1110,12 @@ def test_config_validation_rejects_bad_values():
         dict(seed=1.5),
         dict(max_epochs=True),
         dict(seed="1"),
+        # a float field takes a number, never a bool or text: True would
+        # train as 1, and "4" would fail deep inside a comparison
+        dict(gamma=True),
+        dict(gamma="4"),
+        dict(sigma0=True),
+        dict(sf="0.5"),
     ]
     for kwargs in bad:
         # a config checks itself when built, and again when replace builds one
@@ -1120,6 +1126,10 @@ def test_config_validation_rejects_bad_values():
     assert not hasattr(TrainConfig, "validate")
     cfg = TrainConfig(max_epochs=np.int64(7), seed=np.uint32(3), q_max=np.int32(2))
     assert (cfg.max_epochs, cfg.seed, cfg.effective_q) == (7, 3, 2)
+    # accepted values are stored as given, never converted
+    assert type(TrainConfig(gamma=4).gamma) is int
+    cfg = TrainConfig(gamma=np.int64(3), sf=np.float32(0.25), sigma0=np.float64(2.0))
+    assert (type(cfg.gamma), type(cfg.sf), type(cfg.sigma0)) == (np.int64, np.float32, np.float64)
     assert TrainConfig().effective_q == 4
     assert TrainConfig(topology="hexagonal").effective_q == 6
     assert TrainConfig(q_max=3).effective_q == 3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def test_lattice_spec_validation():
         LatticeSpec(1, 1)
     with pytest.raises(ConfigError):
         LatticeSpec(3, 3, topology="triangular")
+    # a row count is an integer: 2.5 would crash range() in build_lattice, True builds one row
+    for rows in (2.5, True):
+        with pytest.raises(ConfigError, match="rows must be an integer"):
+            LatticeSpec(rows, 3)
+        with pytest.raises(ConfigError, match="rows must be an integer"):
+            replace(LatticeSpec(3, 3), rows=rows)
+    assert LatticeSpec(np.int64(2), 3).rows == 2
 
 
 def test_rectangular_lattice_geometry():

@@ -90,6 +90,11 @@ MALFORMED = {
     "short positions": lambda p: p["positions"].pop(),
     "missing weights key": lambda p: p.pop("weights"),
     "short neuron_labels": lambda p: p["neuron_labels"].pop(),
+    "neuron_count 0": lambda p: p.__setitem__("neuron_count", 0),
+    "neuron_count text": lambda p: p.__setitem__("neuron_count", "3"),
+    "neuron_count true": lambda p: p.__setitem__("neuron_count", True),
+    "neuron_count float": lambda p: p.__setitem__("neuron_count", 2.0),
+    "ragged weights": lambda p: p["weights"][1].append(0.0),
 }
 
 
@@ -104,6 +109,23 @@ def test_render_rejects_a_malformed_snapshot_as_a_data_error(fault, tmp_path, ca
     assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "map.svg").exists()
+
+
+def test_render_rejects_a_snapshot_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text("[1, 2]\n")
+    assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "map.svg").exists()
+
+
+def test_edgeless_snapshot_round_trips_to_the_same_bytes(tmp_path):
+    path = tmp_path / "map.json"
+    export_snapshot_json(make_map([[1.0], [2.0], [3.0]]), path)
+    loaded, payload = load_snapshot(path)
+    assert payload["edges"] == [] and not loaded.edges.any()
+    export_snapshot_json(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_render_svg_draws_every_neuron_and_edge(tmp_path):

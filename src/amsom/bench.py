@@ -54,7 +54,9 @@ class ExperimentSpec:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        _check_fields(self, skip=("config",))  # the nested config checked itself
+        _check_fields(self, skip=("config",))  # a TrainConfig checked itself
+        if not isinstance(self.config, TrainConfig):
+            raise ConfigError(f"config must be a TrainConfig, got {type(self.config).__name__}")
         if not self.dataset:
             raise ConfigError("experiment needs a dataset path or generator id")
         if self.runs < 1:

@@ -8,7 +8,9 @@ mapping every pattern to its best and second-best neuron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,17 +168,20 @@ class Assignment:
     ``dist`` holds the squared distance to the winner. ``second`` is -1 when
     the map has a single neuron. ``wins`` (length ``m``) counts the patterns
     each neuron won; it is derived from ``winner`` here and nowhere else, so
-    every per-neuron measure reads the same counts.
+    every per-neuron measure reads the same counts. It is counted on first
+    read and kept, so a caller that never reads it (a smoothing epoch whose
+    winners did not change) never pays for it; the arrays of an assignment
+    are not changed once made.
     """
 
     winner: np.ndarray
     second: np.ndarray
     dist: np.ndarray
     m: int
-    wins: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.wins = np.bincount(self.winner, minlength=self.m).astype(np.int64)
+    @cached_property
+    def wins(self) -> np.ndarray:
+        return np.bincount(self.winner, minlength=self.m).astype(np.int64)
 
 
 # Score-block budget of assign_all: at most CHUNK float64 entries (2 MB) per
@@ -190,6 +195,37 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 8
 
 
+def _in_blocks(search, patterns: np.ndarray, step: int, *args):
+    """``search(rows, *args)`` over blocks of at most ``step`` rows, its
+    (int, int, float, float) results joined; rows that fit in one block are
+    searched whole, with nothing preallocated."""
+    n = patterns.shape[0]
+    if n <= step:
+        return search(patterns, *args)
+    out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
+    for start in range(0, n, step):
+        stop = start + step
+        for whole, part in zip(out, search(patterns[start:stop], *args)):
+            whole[start:stop] = part
+    return out
+
+
+def _exact_block(patterns: np.ndarray, weights: np.ndarray):
+    """``_exact_rows`` of one block of rows, from one difference array."""
+    n, m = patterns.shape[0], weights.shape[0]
+    diff = patterns[:, None, :] - weights
+    d2 = np.einsum("nmd,nmd->nm", diff, diff)
+    rows = np.arange(n)
+    best = d2.argmin(axis=1)
+    dist = d2[rows, best]
+    if m == 1:
+        return best, np.full(n, -1, dtype=np.int64), dist, np.full(n, np.inf)
+    d2[rows, best] = np.inf
+    second = d2.argmin(axis=1)
+    d2[rows, second] = np.inf
+    return best, second, dist, d2.min(axis=1)
+
+
 def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
     """Winner, runner-up, winner distance and third-smallest squared distance by brute force.
 
@@ -197,29 +233,11 @@ def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
     of rows that keep the difference array under CHUNK entries. This is the
     reference that ``assign_all`` reproduces bit for bit, and the path it
     takes for maps of at most two neurons and for rows whose shortlist is
-    too close to call.
+    too close to call. The runner-up is -1 and the third distance inf when
+    m = 1.
     """
-    n = patterns.shape[0]
     m, d = weights.shape
-    winner = np.empty(n, dtype=np.int64)
-    second = np.full(n, -1, dtype=np.int64)
-    dist = np.empty(n)
-    third = np.full(n, np.inf)
-    step = max(1, CHUNK // (m * d))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        diff = patterns[start:stop, None, :] - weights[None, :, :]
-        d2 = np.einsum("nmd,nmd->nm", diff, diff)
-        rows = np.arange(stop - start)
-        best = np.argmin(d2, axis=1)
-        winner[start:stop] = best
-        dist[start:stop] = d2[rows, best]
-        if m > 1:
-            d2[rows, best] = np.inf
-            second[start:stop] = nxt = np.argmin(d2, axis=1)
-            d2[rows, nxt] = np.inf
-            third[start:stop] = d2.min(axis=1)
-    return winner, second, dist, third
+    return _in_blocks(_exact_block, patterns, max(1, CHUNK // (m * d)), weights)
 
 
 def _tol(scale, d: int):
@@ -229,11 +247,13 @@ def _tol(scale, d: int):
 
 def _pair(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray):
     """Winner, runner-up and both squared distances of each row among its two
-    candidates ``cand``, by the brute-force formula, ordered by (distance, index)."""
-    diff = patterns[:, None, :] - np.take(weights, cand, axis=0)
+    candidates ``cand``, by the brute-force formula, ordered by (distance, index).
+    Each row of ``cand`` lists its two neurons in index order, so only a
+    strictly nearer second candidate goes first."""
+    diff = patterns[:, None, :] - weights.take(cand, axis=0)
     d2 = np.einsum("nmd,nmd->nm", diff, diff)
     a, b, d2_a, d2_b = cand[:, 0], cand[:, 1], d2[:, 0], d2[:, 1]
-    flip = (d2_b < d2_a) | ((d2_b == d2_a) & (b < a))
+    flip = d2_b < d2_a
     near, far = np.minimum(d2_a, d2_b), np.maximum(d2_a, d2_b)
     return np.where(flip, b, a), np.where(flip, a, b), near, far
 
@@ -244,52 +264,46 @@ def _bound(third: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.minimum(third, _MAX_SCALE) - 2.0 * tol, 0.0))
 
 
+def _search_block(block: np.ndarray, weights: np.ndarray, w_sq: np.ndarray, w_sq_max):
+    """``_search`` of one block of rows; ``w_sq`` holds the squared weight norms."""
+    d = weights.shape[1]
+    rows = np.arange(block.shape[0])
+
+    # squared distance minus |p|^2, within tol of its true value
+    g = block @ weights.T
+    g *= -2.0
+    g += w_sq
+    a = g.argmin(axis=1)
+    g[rows, a] = np.inf
+    b = g.argmin(axis=1)
+    g_b = g[rows, b]
+    g[rows, b] = np.inf
+    g_c = g.min(axis=1)
+
+    cand = np.empty((rows.size, 2), dtype=np.int64)
+    np.minimum(a, b, out=cand[:, 0])
+    np.maximum(a, b, out=cand[:, 1])
+    winner, second, dist, _ = _pair(block, weights, cand)
+
+    p_sq = np.einsum("nd,nd->n", block, block)
+    scale = p_sq + w_sq_max
+    tol = _tol(scale, d)
+    third = g_c + p_sq
+    slow = (~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE))).nonzero()[0]
+    if slow.size:
+        winner[slow], second[slow], dist[slow], third[slow] = _exact_rows(block[slow], weights)
+    return winner, second, dist, _bound(third, tol)
+
+
 def _search(patterns: np.ndarray, weights: np.ndarray):
     """The search of ``assign_all``: winner, runner-up, winner distance and
     a lower bound on each row's distance to every other neuron, from its
     third-best score (or brute-force distance); inf when m <= 2."""
-    n = patterns.shape[0]
-    m, d = weights.shape
+    m = weights.shape[0]
     if m <= 2:
-        return (*_exact_rows(patterns, weights)[:3], np.full(n, np.inf))
-
-    winner = np.empty(n, dtype=np.int64)
-    second = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
-    bound = np.empty(n)
+        return (*_exact_rows(patterns, weights)[:3], np.full(patterns.shape[0], np.inf))
     w_sq = np.einsum("md,md->m", weights, weights)
-    w_sq_max = w_sq.max()
-    step = max(1, CHUNK // m)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        block = patterns[start:stop]
-        rows = np.arange(stop - start)
-
-        # squared distance minus |p|^2, within tol of its true value
-        g = block @ weights.T
-        g *= -2.0
-        g += w_sq
-        a = np.argmin(g, axis=1)
-        g[rows, a] = np.inf
-        b = np.argmin(g, axis=1)
-        g_b = g[rows, b]
-        g[rows, b] = np.inf
-        g_c = g.min(axis=1)
-
-        winner[start:stop], second[start:stop], dist[start:stop], _ = _pair(
-            block, weights, np.stack([a, b], axis=1)
-        )
-
-        p_sq = np.einsum("nd,nd->n", block, block)
-        scale = p_sq + w_sq_max
-        tol = _tol(scale, d)
-        third = g_c + p_sq
-        slow = np.flatnonzero(~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE)))
-        if slow.size:
-            idx = start + slow
-            winner[idx], second[idx], dist[idx], third[slow] = _exact_rows(block[slow], weights)
-        bound[start:stop] = _bound(third, tol)
-    return winner, second, dist, bound
+    return _in_blocks(_search_block, patterns, max(1, CHUNK // m), weights, w_sq, w_sq.max())
 
 
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:
@@ -329,7 +343,10 @@ class PrunedSearch:
     distance to every other neuron, lowered each call by the largest weight
     movement, rounded up (Elkan 2003, Hamerly 2010). A row keeps its pair
     while both pair distances, recomputed as in ``assign_all``, stay under
-    the squared bound by ``tol``; the rest are searched again. O(n) state.
+    the squared bound by ``tol``; the rest are searched again, and only
+    their pairs are written back, in place and in index order, as ``_pair``
+    takes them. A call in which no row fails its bound makes no search call
+    at all. O(n) state.
     """
 
     def __init__(self, data: Dataset):
@@ -347,30 +364,36 @@ class PrunedSearch:
         self.prev = weights.copy()
         # the factor below 1 covers the rounding of the subtraction; a
         # non-finite movement leaves no bound positive
-        move = np.sqrt(np.einsum("md,md->m", step, step).max()) * (1.0 + (d + 2) * _EPS)
-        bound = (self.bound - move) * (1.0 - _EPS)
+        move = math.sqrt(np.einsum("md,md->m", step, step).max()) * (1.0 + (d + 2) * _EPS)
+        self.bound = bound = (self.bound - move) * (1.0 - _EPS)
         winner, second, dist, far = _pair(patterns, weights, self.pair)
         # one tol for all rows, at the largest scale of any
         tol = _tol(self.p_sq_max + np.einsum("md,md->m", weights, weights).max(), d)
-        redo = np.flatnonzero(~((bound > 0.0) & (far + tol < bound * bound)))
-        if redo.size * m * d <= EXACT_ROUTE:
-            *again, third = _exact_rows(patterns[redo], weights)
-            again.append(_bound(third, tol))
-        else:
-            again = _search(patterns[redo], weights)
-        for whole, part in zip((winner, second, dist, bound), again):
-            whole[redo] = part
-        self.pair, self.bound = np.stack([winner, second], axis=1), bound
+        redo = (~((bound > 0.0) & (far + tol < bound * bound))).nonzero()[0]
+        if redo.size:
+            if redo.size * m * d <= EXACT_ROUTE:
+                *again, third = _exact_rows(patterns[redo], weights)
+                again.append(_bound(third, tol))
+            else:
+                again = _search(patterns[redo], weights)
+            for whole, part in zip((winner, second, dist, bound), again):
+                whole[redo] = part
+            self.pair[redo, 0] = np.minimum(again[0], again[1])
+            self.pair[redo, 1] = np.maximum(again[0], again[1])
         return Assignment(winner, second, dist, m)
 
 
 def winner_means(data: Dataset, assignment: Assignment) -> np.ndarray:
-    """Mean of the patterns won by each neuron; zero rows for empty neurons."""
-    m = assignment.m
+    """Mean of the patterns won by each neuron; zero rows for empty neurons.
+
+    One ``np.bincount`` over (winner, coordinate) bins adds each neuron's
+    patterns coordinate by coordinate in pattern order, the sums one
+    bincount per coordinate would give.
+    """
+    m, d = assignment.m, data.d
     counts = assignment.wins.astype(np.float64)
-    sums = np.zeros((m, data.d))
-    for j in range(data.d):
-        sums[:, j] = np.bincount(assignment.winner, weights=data.patterns[:, j], minlength=m)
+    bins = (assignment.winner[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=data.patterns.ravel(), minlength=m * d).reshape(m, d)
     means = np.zeros_like(sums)
     np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
     return means
@@ -390,5 +413,10 @@ def per_neuron_quantization(assignment: Assignment) -> np.ndarray:
 
 
 def mean_quantization_error(assignment: Assignment) -> float:
-    """Mean distance of all patterns to their winners."""
-    return float(np.mean(np.sqrt(assignment.dist)))
+    """Mean distance of all patterns to their winners.
+
+    The sum and division ``np.mean`` makes, a pairwise ``np.add.reduce``
+    divided by n, without its per-call dispatch.
+    """
+    dist = assignment.dist
+    return float(np.add.reduce(np.sqrt(dist)) / dist.size)

@@ -11,6 +11,7 @@ immediate graph neighborhood only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,10 +208,14 @@ def _pull(state, t, bins, k, pull, rate):
     m, dim = state.shape
     den = np.bincount(t, weights=k, minlength=m)
     num = np.bincount(bins, weights=(k[:, None] * pull).ravel(), minlength=m * dim)
-    ok = (den > 0.0)[:, None]
+    num = num.reshape(m, dim)
+    ok = den > 0.0
+    if ok.all():
+        return state + rate * (num / den[:, None])
+    ok = ok[:, None]
     # float64 buffers: bincount over no pairs returns int64
     mean = np.zeros((m, dim))
-    np.divide(num.reshape(m, dim), den[:, None], out=mean, where=ok)
+    np.divide(num, den[:, None], out=mean, where=ok)
     new = state.copy()
     np.add(new, rate * mean, out=new, where=ok)
     return new
@@ -268,19 +273,15 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
 
 def _remove_isolated(map_state: MapState) -> list:
     """Drop neurons with no edges, in ascending index order, keeping m >= 2."""
-    events = []
-    isolated = np.flatnonzero(map_state.degrees() == 0)
+    isolated = (map_state.degrees() == 0).nonzero()[0]
     if isolated.size == 0:
-        return events
+        return []
     allowed = max(0, map_state.m - 2)
     removable = isolated[:allowed]
     skipped = isolated[allowed:]
-    for i in removable:
-        events.append({"kind": "neuron_removed", "neuron": int(i)})
+    events = [{"kind": "neuron_removed", "neuron": i} for i in removable.tolist()]
     if skipped.size > 0:
-        events.append(
-            {"kind": "removal_skipped", "neurons": [int(i) for i in skipped]}
-        )
+        events.append({"kind": "removal_skipped", "neurons": skipped.tolist()})
     map_state.delete_neurons(removable)
     return events
 
@@ -288,7 +289,9 @@ def _remove_isolated(map_state: MapState) -> list:
 def prune_edges_and_neurons(map_state: MapState, age_max: int) -> list:
     """Cut edges at or past the age cutoff, then drop isolated neurons."""
     aged = map_state.edges & (map_state.ages >= age_max)
-    rows, cols = np.nonzero(np.triu(aged, 1))
+    rows, cols = aged.nonzero()
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
     events = [
         {"kind": "edge_aged_out", "edge": (a, b), "age": age}
         for a, b, age in zip(rows.tolist(), cols.tolist(), map_state.ages[rows, cols].tolist())
@@ -377,14 +380,14 @@ def enforce_degree(map_state: MapState, q: int) -> list:
     events = []
     # trimming only lowers degrees, so only neurons over the cap at entry can
     # need it; each one's degree is read again when its turn comes
-    for i in np.flatnonzero(map_state.degrees() > q).tolist():
-        nbrs = np.flatnonzero(map_state.edges[i])
+    for i in (map_state.degrees() > q).nonzero()[0].tolist():
+        nbrs = map_state.edges[i].nonzero()[0]
         if nbrs.size <= q:
             continue
         order = np.lexsort((nbrs, map_state.ages[i, nbrs]))
         drop = nbrs[order[q:]]
-        for j in drop:
-            a, b = (i, int(j)) if i < j else (int(j), i)
+        for j in drop.tolist():
+            a, b = (i, j) if i < j else (j, i)
             events.append({"kind": "edge_trimmed", "edge": (a, b), "neuron": i})
         map_state.edges[i, drop] = False
         map_state.edges[drop, i] = False
@@ -501,7 +504,7 @@ def _run_epochs(data: Dataset, map_state: MapState, max_epochs: int, eps: float,
     for epoch in range(1, max_epochs + 1):
         asg, events = step(epoch, asg)
         mqe = mean_quantization_error(asg)
-        if not np.isfinite(mqe):
+        if not math.isfinite(mqe):
             raise TrainingError(f"non-finite mqe at epoch {epoch}")
 
         report = EpochReport(epoch, mqe, events)
@@ -579,11 +582,13 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     edges or neurons change, so both kernels are evaluated only on the
     graph's (target, source) pairs, listed once per call: O(edges) per
     epoch, not O(m^2). The win counts and winner means are recomputed only
-    in epochs that start from other winners than the last one did. Stops
-    when the epoch-to-epoch error change drops under eps2, or after
-    smooth_max_epochs. Returns ``(map_state, reports)``. The epoch loop is
-    the one shared with ``train`` and the baseline; after its first
-    ``assign_all``, ``PrunedSearch`` finds each epoch's winners.
+    in epochs that start from other winners than the last one did; the
+    other epochs never count wins, since an assignment counts them when
+    first read. Stops when the epoch-to-epoch error change drops under
+    eps2, or after smooth_max_epochs. Returns ``(map_state, reports)``. The
+    epoch loop is the one shared with ``train`` and the baseline; after its
+    first ``assign_all``, ``PrunedSearch`` finds each epoch's winners, and
+    an epoch in which every pattern keeps its pair runs no search at all.
     """
     if map_state.m < 2:
         raise MapStructureError("smoothing needs at least 2 neurons")
@@ -592,13 +597,14 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     # rows serve as targets and columns as sources. The position step takes
     # the off-diagonal pairs in the same order, so both steps sum in pair order.
     t, s = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
-    off = np.flatnonzero(t != s)
+    off = (t != s).nonzero()[0]
     t_off, s_off = t[off], s[off]
     d_w, d_r = map_state.weights.shape[1], map_state.positions.shape[1]
     w_bins = (t[:, None] * d_w + np.arange(d_w)).ravel()
     r_bins = (t_off[:, None] * d_r + np.arange(d_r)).ravel()
     sigma = _cell_width_sigma(map_state, config)
-    width2 = config.gamma * sigma * sigma
+    # -x / c, as x / -c: negation is exact and rounding symmetric in sign
+    neg_width1, neg_width2 = -(sigma * sigma), -(config.gamma * sigma * sigma)
     rate = config.alpha_smooth
     search = PrunedSearch(data)
     # the winner statistics gathered at the sources; the data and m are fixed,
@@ -607,18 +613,18 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
 
     def step(epoch, asg):
         nonlocal winner, n_s, n_off, xbar_s
-        if winner is None or not np.array_equal(asg.winner, winner):
+        if winner is None or (asg.winner != winner).any():
             winner = asg.winner
             n = asg.wins.astype(np.float64)
-            n_s, n_off = np.take(n, s), np.take(n, s_off)
-            xbar_s = np.take(winner_means(data, asg), s, axis=0)
+            n_s, n_off = n.take(s), n.take(s_off)
+            xbar_s = winner_means(data, asg).take(s, axis=0)
         w, r = map_state.weights, map_state.positions
-        gap = np.take(r, s, axis=0) - np.take(r, t, axis=0)
-        k = n_s * np.exp(-np.einsum("ed,ed->e", gap, gap) / (sigma * sigma))
-        map_state.weights = w = _pull(w, t, w_bins, k, xbar_s - np.take(w, t, axis=0), rate)
-        w_gap = np.take(w, s_off, axis=0) - np.take(w, t_off, axis=0)
-        k = n_off * np.exp(-np.einsum("ed,ed->e", w_gap, w_gap) / width2)
-        map_state.positions = _pull(r, t_off, r_bins, k, np.take(gap, off, axis=0), rate)
+        gap = r.take(s, axis=0) - r.take(t, axis=0)
+        k = n_s * np.exp(np.einsum("ed,ed->e", gap, gap) / neg_width1)
+        map_state.weights = w = _pull(w, t, w_bins, k, xbar_s - w.take(t, axis=0), rate)
+        w_gap = w.take(s_off, axis=0) - w.take(t_off, axis=0)
+        k = n_off * np.exp(np.einsum("ed,ed->e", w_gap, w_gap) / neg_width2)
+        map_state.positions = _pull(r, t_off, r_bins, k, gap.take(off, axis=0), rate)
         return search(map_state), []
 
     return map_state, _run_epochs(

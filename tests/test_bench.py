@@ -180,6 +180,17 @@ def test_experiment_spec_validation():
         dataclasses.replace(spec, runs=0)
 
 
+def test_experiment_spec_config_must_be_a_train_config():
+    # a dict of config values is not a config: it would reach run_experiment
+    # and fail there on its first attribute read
+    for config in ({"seed": 0}, None, "seed=0"):
+        with pytest.raises(ConfigError, match="config must be a TrainConfig"):
+            ExperimentSpec(dataset="cluster", config=config)
+        with pytest.raises(ConfigError, match="config must be a TrainConfig"):
+            dataclasses.replace(ExperimentSpec(dataset="cluster"), config=config)
+    assert ExperimentSpec(dataset="cluster", config=TrainConfig(seed=3)).config.seed == 3
+
+
 def test_load_dataset_generator_id():
     data = load_dataset("cluster", seed=1)
     assert data.n == 1000 and data.d == 2

@@ -11,6 +11,7 @@ from amsom.core import (
     MapState,
     PrunedSearch,
     _exact_rows,
+    _search,
     assign_all,
     mean_quantization_error,
     per_neuron_quantization,
@@ -181,6 +182,33 @@ def test_assign_all_across_chunk_boundaries(monkeypatch, chunk):
     assert asg.dist.tobytes() == dist.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_one_block_searches_equal_the_blocked_ones(monkeypatch, m):
+    # at the default CHUNK each search takes all 40 rows as one block; with
+    # CHUNK small the same rows run through the blocked loop, a row or a few
+    # at a time. The brute-force search keeps every bit. The GEMM search keeps
+    # its winners and distances; its bounds come from GEMM scores, whose
+    # rounding may change with the block's shape, so they are held to being
+    # bounds on the third distance.
+    rng = np.random.default_rng(20 + m)
+    patterns = rng.normal(size=(40, 3)) * 1e3
+    weights = rng.normal(size=(m, 3)) * 1e3
+    weights[-1] = weights[0]  # a duplicate neuron sends rows to the fallback
+    exact = _exact_rows(patterns, weights)
+    *found, bound = _search(patterns, weights)
+    for chunk in (1, 3 * m * 3, 5 * m * 3 + 1):
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        for a, b in zip(exact, _exact_rows(patterns, weights)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        *blocked, blocked_bound = _search(patterns, weights)
+        for a, b in zip(found, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for b in (bound, blocked_bound):
+            assert np.all(b * b <= exact[3])
+    for a, b in zip(exact[:3], found):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_assign_all_equals_brute_force_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -299,6 +327,34 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
     assert rows["skip"] > 0 and rows["exact"] > 0 and rows["gemm"] > 0
 
 
+def test_pruned_search_without_a_search_equals_assign_all(monkeypatch):
+    # two patterns sit between a close pair of neurons, 1 and 3, far from the
+    # rest; each step below moves the pair by at most 0.005, so every row
+    # keeps its pair and no search runs, while the two swap places and tie
+    # (a tie goes to the lower index, 1, even right after 3 won)
+    data = Dataset([[0.0, 0.0], [0.0, 0.1]])
+    weights = np.array([[50.0, 50.0], [1.001, 0.0], [-50.0, 50.0], [-1.0, 0.0]])
+    search = PrunedSearch(data)
+    ms = make_map(weights)
+    search(ms)
+    rows, on = _spy_pruned_routes(monkeypatch)
+    winners = []
+    for x1, x3 in ((1.001, -1.0), (1.0, -1.0), (0.999, -1.0), (1.0, -0.995), (1.0, -1.0)):
+        ms.weights = weights.copy()
+        ms.weights[1, 0], ms.weights[3, 0] = x1, x3
+        on[0] = True
+        asg = search(ms)
+        on[0] = False
+        fresh = assign_all(data, ms)
+        assert np.array_equal(asg.winner, fresh.winner)
+        assert np.array_equal(asg.second, fresh.second)
+        assert asg.dist.tobytes() == fresh.dist.tobytes()
+        assert np.array_equal(asg.wins, fresh.wins)
+        winners.append(int(asg.winner[0]))
+    assert rows["gemm"] + rows["exact"] == 0
+    assert winners == [3, 1, 1, 3, 1]
+
+
 def test_pruned_search_keeps_the_pairs_that_stay_clear(monkeypatch):
     # well-separated random data: a repeated call, or a step far below every
     # gap, searches no row again, and a far jump of one neuron searches all
@@ -411,6 +467,49 @@ def test_assignment_wins_and_winner_means():
     assert np.allclose(means[1], [0.0, 0.0])  # empty neurons get zero rows
     assert np.allclose(means[2], [4.0, 4.0])
     assert np.allclose(means[3], [0.0, 0.0])
+
+
+def test_assignment_wins_equal_a_fresh_count():
+    # counted on first read, then the same array; an assignment never
+    # reads another's counts, whatever their sizes share
+    rng = np.random.default_rng(6)
+    for n, m in ((1, 1), (5, 9), (300, 4), (300, 40)):
+        winner = rng.integers(0, m, size=n)
+        asg = Assignment(winner, np.zeros(n, dtype=np.int64), np.zeros(n), m)
+        other = Assignment(rng.integers(0, m, size=n), np.zeros(n, dtype=np.int64), np.zeros(n), m)
+        for a in (asg, other):
+            assert a.wins.dtype == np.int64
+            assert np.array_equal(a.wins, np.bincount(a.winner, minlength=m))
+        assert asg.wins is asg.wins
+
+
+def test_winner_means_equal_one_bincount_per_coordinate():
+    # the flat (winner, coordinate) bincount against the per-column loop, bit
+    # for bit, with empty neurons and enough rows to expose a change of order
+    rng = np.random.default_rng(10)
+    for n, m, d in ((1, 3, 1), (7, 5, 4), (2000, 30, 16), (20000, 50, 4)):
+        data = Dataset(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d))
+        winner = rng.integers(0, m - 1, size=n)  # neuron m - 1 wins nothing
+        asg = Assignment(winner, np.zeros(n, dtype=np.int64), np.zeros(n), m)
+        counts = np.bincount(winner, minlength=m).astype(np.float64)
+        want = np.zeros((m, d))
+        for j in range(d):
+            want[:, j] = np.bincount(winner, weights=data.patterns[:, j], minlength=m)
+        np.divide(want, counts[:, None], out=want, where=counts[:, None] > 0)
+        assert winner_means(data, asg).tobytes() == want.tobytes()
+
+
+def test_mean_quantization_error_equals_np_mean():
+    # every n from 1 past 1024, where numpy's pairwise sum starts to split
+    # its blocks, and a few larger ones
+    rng = np.random.default_rng(11)
+    sizes = list(range(1, 1100)) + [2047, 2048, 4097, 20000]
+    for n in sizes:
+        dist = rng.random(n) * 10.0 ** rng.integers(-6, 7)
+        asg = Assignment(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dist, 1)
+        got = mean_quantization_error(asg)
+        assert type(got) is float
+        assert got == float(np.mean(np.sqrt(dist)))
 
 
 def test_assign_all_counts_wins_against_its_map():

@@ -346,7 +346,8 @@ class PrunedSearch:
     the squared bound by ``tol``; the rest are searched again, and only
     their pairs are written back, in place and in index order, as ``_pair``
     takes them. A call in which no row fails its bound makes no search call
-    at all. O(n) state.
+    at all. O(n) state. A pair needs two neurons, so a map of one raises
+    MapStructureError.
     """
 
     def __init__(self, data: Dataset):
@@ -360,6 +361,8 @@ class PrunedSearch:
     def __call__(self, map_state: MapState) -> Assignment:
         patterns, weights = self.patterns, map_state.weights
         m, d = weights.shape
+        if m < 2:
+            raise MapStructureError("the pruned search needs at least 2 neurons")
         step = weights - (weights if self.prev is None else self.prev)
         self.prev = weights.copy()
         # the factor below 1 covers the rounding of the subtraction; a

@@ -604,7 +604,7 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     r_bins = (t_off[:, None] * d_r + np.arange(d_r)).ravel()
     sigma = _cell_width_sigma(map_state, config)
     # -x / c, as x / -c: negation is exact and rounding symmetric in sign
-    neg_width1, neg_width2 = -(sigma * sigma), -(config.gamma * sigma * sigma)
+    neg_sigma2, neg_width2 = -(sigma * sigma), -(config.gamma * sigma * sigma)
     rate = config.alpha_smooth
     search = PrunedSearch(data)
     # the winner statistics gathered at the sources; the data and m are fixed,
@@ -620,7 +620,7 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
             xbar_s = winner_means(data, asg).take(s, axis=0)
         w, r = map_state.weights, map_state.positions
         gap = r.take(s, axis=0) - r.take(t, axis=0)
-        k = n_s * np.exp(np.einsum("ed,ed->e", gap, gap) / neg_width1)
+        k = n_s * np.exp(np.einsum("ed,ed->e", gap, gap) / neg_sigma2)
         map_state.weights = w = _pull(w, t, w_bins, k, xbar_s - w.take(t, axis=0), rate)
         w_gap = w.take(s_off, axis=0) - w.take(t_off, axis=0)
         k = n_off * np.exp(np.einsum("ed,ed->e", w_gap, w_gap) / neg_width2)

@@ -355,6 +355,13 @@ def test_pruned_search_without_a_search_equals_assign_all(monkeypatch):
     assert winners == [3, 1, 1, 3, 1]
 
 
+def test_pruned_search_needs_two_neurons():
+    # a one-neuron map has no runner-up to pair with its winner
+    search = PrunedSearch(Dataset([[0.0], [1.0]]))
+    with pytest.raises(MapStructureError):
+        search(make_map([[0.5]]))
+
+
 def test_pruned_search_keeps_the_pairs_that_stay_clear(monkeypatch):
     # well-separated random data: a repeated call, or a step far below every
     # gap, searches no row again, and a far jump of one neuron searches all

@@ -264,21 +264,23 @@ def _bound(third: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.minimum(third, _MAX_SCALE) - 2.0 * tol, 0.0))
 
 
-def _search_block(block: np.ndarray, weights: np.ndarray, w_sq: np.ndarray, w_sq_max):
-    """``_search`` of one block of rows; ``w_sq`` holds the squared weight norms."""
+def _search_block(block: np.ndarray, weights: np.ndarray, w_m2, w_sq: np.ndarray, w_sq_max):
+    """``_search`` of one block of rows. ``w_m2`` is -2 W^T, so one GEMM and
+    one addition of ``w_sq``, the squared weight norms, make every score;
+    scaling by a power of two is exact. After the best two scores are masked
+    out, the third is read at its ``argmin``, the value ``min`` would give."""
     d = weights.shape[1]
     rows = np.arange(block.shape[0])
 
     # squared distance minus |p|^2, within tol of its true value
-    g = block @ weights.T
-    g *= -2.0
+    g = block @ w_m2
     g += w_sq
     a = g.argmin(axis=1)
     g[rows, a] = np.inf
     b = g.argmin(axis=1)
     g_b = g[rows, b]
     g[rows, b] = np.inf
-    g_c = g.min(axis=1)
+    g_c = g[rows, g.argmin(axis=1)]
 
     cand = np.empty((rows.size, 2), dtype=np.int64)
     np.minimum(a, b, out=cand[:, 0])
@@ -303,7 +305,10 @@ def _search(patterns: np.ndarray, weights: np.ndarray):
     if m <= 2:
         return (*_exact_rows(patterns, weights)[:3], np.full(patterns.shape[0], np.inf))
     w_sq = np.einsum("md,md->m", weights, weights)
-    return _in_blocks(_search_block, patterns, max(1, CHUNK // m), weights, w_sq, w_sq.max())
+    w_m2 = (-2.0 * weights).T
+    return _in_blocks(
+        _search_block, patterns, max(1, CHUNK // m), weights, w_m2, w_sq, w_sq.max()
+    )
 
 
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:

@@ -47,7 +47,8 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     ``label_column`` selects the class column by 0-based index (negative
     counts from the end) or by header name. Rows with missing values (empty
     cells, NA, ?) are skipped and counted; any other unparseable cell is a
-    hard error reported with its line number. Labels that are all integers
+    hard error reported with the first physical line of its record (a quoted
+    cell may span lines). Labels that are all integers
     pass through; otherwise (names, fractions, inf, or integers beyond int64)
     every distinct label string is mapped to an integer id by sorted value.
 
@@ -58,7 +59,11 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)]
+            reader = csv.reader(fh)
+            rows, lineno = [], 1
+            for row in reader:
+                rows.append((lineno, row))
+                lineno = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [(lineno, row) for lineno, row in rows if any(cell.strip() for cell in row)]

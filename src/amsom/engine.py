@@ -131,13 +131,52 @@ def neighborhood_input(w_j, w_i, sigma: float, gamma: float) -> float:
     return float(np.exp(-(diff @ diff) / (gamma * sigma * sigma)))
 
 
+# Block budget of _pairwise_sq for d != 2: at most KERNEL_CHUNK float64
+# entries (256 KB) of differences per block of rows, so its working memory
+# stays O(m * m + KERNEL_CHUNK), never O(m * m * d).
+KERNEL_CHUNK = 1 << 15
+
+
 def _pairwise_sq(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """The m x m squared distances between the rows of ``points``, bit for bit
+    the sum ``np.einsum`` gives over one m x m x d difference array.
+
+    For two columns (every position array) it is dx*dx + dy*dy from two m x m
+    differences: one addition of two rounded squares has the same bits in
+    either order. Other d take blocks of rows, each summed by the same
+    ``einsum`` over its differences with the columns from its first row on,
+    and mirrored below the diagonal: fl(a - b) = -fl(b - a), so both halves
+    square to the same bits. Rows that fit in one block are summed whole.
+    """
+    m, d = points.shape
+    if d == 2:
+        x, y = points[:, 0], points[:, 1]
+        sq = x[:, None] - x
+        dy = y[:, None] - y
+        sq *= sq
+        dy *= dy
+        sq += dy
+        return sq
+    if m * m * d <= KERNEL_CHUNK:
+        diff = points[:, None, :] - points
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.empty((m, m))
+    step = max(1, KERNEL_CHUNK // (m * d))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        diff = points[start:stop, None, :] - points[start:]
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        sq[start:stop, start:] = block
+        sq[start:, start:stop] = block.T
+    return sq
 
 
 def _input_kernel(weights: np.ndarray, sigma: float, gamma: float) -> np.ndarray:
-    return np.exp(-_pairwise_sq(weights) / (gamma * sigma * sigma))
+    """exp(-|w_j - w_i|^2 / (gamma sigma^2)) over all pairs, in place: x / -c
+    has the bits of -x / c, since negation is exact and rounding symmetric."""
+    k = _pairwise_sq(weights)
+    k /= -(gamma * sigma * sigma)
+    return np.exp(k, out=k)
 
 
 def batch_weight_update(
@@ -155,14 +194,21 @@ def batch_weight_update(
     kernel at the current positions). Neurons whose denominator is zero keep
     their previous weight. ``sq_dist``, if given, holds the m x m squared
     distances of the current positions, for a caller whose positions never
-    move; by default they are computed here. Returns the new weight matrix
-    without touching the map.
+    move; it is read, never written. By default they are computed here, and
+    the kernel is then formed in place in that one m x m array: the bits of
+    n_j exp(-sq / sigma^2), with -x / c taken as x / -c (negation is exact
+    and rounding symmetric in sign). Returns the new weight matrix without
+    touching the map.
     """
     n = assignment.wins.astype(np.float64)
     xbar = winner_means(data, assignment)
     if sq_dist is None:
-        sq_dist = _pairwise_sq(map_state.positions)
-    k = n[:, None] * np.exp(-sq_dist / (sigma * sigma))
+        k = _pairwise_sq(map_state.positions)
+        k /= -(sigma * sigma)
+    else:
+        k = sq_dist / -(sigma * sigma)
+    np.exp(k, out=k)
+    k *= n[:, None]
     den = k.sum(axis=0)
     num = k.T @ xbar
     new_w = map_state.weights.copy()
@@ -184,11 +230,14 @@ def position_update(
     (r_j - r_i) over the other neurons j with wins, weighted by n_j and the
     input-space kernel of the current weights. The self term is excluded; a
     zero denominator means no movement. All displacements are computed from
-    the positions as they stand, then applied together. Returns the new
-    position matrix.
+    the positions as they stand, then applied together. The kernel is formed
+    in place in one m x m array, and ``_pairwise_sq`` keeps its differences
+    to blocks, so the working memory is O(m * m), never O(m * m * d).
+    Returns the new position matrix.
     """
     n = assignment.wins.astype(np.float64)
-    k = n[:, None] * _input_kernel(map_state.weights, sigma, gamma)
+    k = _input_kernel(map_state.weights, sigma, gamma)
+    k *= n[:, None]
     np.fill_diagonal(k, 0.0)
     den = k.sum(axis=0)
     num = k.T @ map_state.positions - den[:, None] * map_state.positions

@@ -237,6 +237,46 @@ def test_assign_all_equals_brute_force_property():
     check()
 
 
+def test_blocked_assign_all_equals_brute_force_property(monkeypatch):
+    # CHUNK patched small sends the same rows through many score blocks; the
+    # reference is taken first, at the default CHUNK. The search's bound
+    # stays under every distance but the pair's.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = core.CHUNK
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        m=st.integers(1, 30),
+        d=st.integers(1, 17),
+        log_scale=st.floats(-3, 3),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e4, 1e6]),
+        duplicates=st.integers(0, 5),
+        rounded=st.booleans(),
+        chunk=st.integers(1, 400),
+    )
+    def check(seed, n, m, d, log_scale, offset, duplicates, rounded, chunk):
+        rng = np.random.default_rng(seed)
+        patterns = rng.normal(size=(n, d)) * 10.0**log_scale + offset
+        weights = rng.normal(size=(m, d)) * 10.0**log_scale + offset
+        weights[rng.integers(0, m, size=duplicates)] = weights[rng.integers(0, m)]
+        if rounded:
+            patterns, weights = np.round(patterns), np.round(weights)
+        monkeypatch.setattr(core, "CHUNK", default)
+        winner, second, dist, third = _exact_rows(patterns, weights)
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        asg = assign_all(Dataset(patterns), make_map(weights))
+        assert np.array_equal(asg.winner, winner)
+        assert np.array_equal(asg.second, second)
+        assert asg.dist.tobytes() == dist.tobytes()
+        bound = _search(patterns, weights)[3]
+        assert np.all(bound * bound <= third)
+
+    check()
+
+
 def _spy_pruned_routes(monkeypatch):
     """Count the rows PrunedSearch sends to the GEMM search and to the
     brute-force search while ``on[0]`` is set; the brute-force fallback

@@ -74,6 +74,19 @@ def test_load_csv_hard_errors(tmp_path):
         load_csv(_write(tmp_path, "1,2\n"), label_column=5)
 
 
+def test_load_csv_numbers_errors_by_physical_line(tmp_path):
+    # the header's quoted cell spans lines 1-2, so the bad value is on line 4
+    text = 'a,"b\nc",label\n1,2,x\n3,oops,y\n'
+    with pytest.raises(DataError, match="line 4: unparseable value 'oops'"):
+        load_csv(_write(tmp_path, text), label_column="label")
+    # a record that spans lines 2-3 is numbered by its first; blank lines count
+    text = '1,2\n"3\n",4,5\n\n6,oops\n'
+    with pytest.raises(DataError, match="line 2: expected 2 cells, got 3"):
+        load_csv(_write(tmp_path, text))
+    with pytest.raises(DataError, match="line 5: unparseable value 'oops'"):
+        load_csv(_write(tmp_path, '1,2\n"3\n",4\n\n6,oops\n'))
+
+
 def test_load_csv_missing_label_column_is_a_config_error(tmp_path):
     # another column argument fixes each of these, so none is a data fault
     named = _write(tmp_path, "x,y,kind\n1,2,a\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,143 @@ def test_input_kernel_hits_1_over_e_at_definitional_distance():
 def test_kernels_decrease_with_distance():
     vals = [neighborhood_output([x, 0.0], [0.0, 0.0], 1.5) for x in (0.0, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+# The formulas the kernels reproduce bit for bit: one m x m x d difference
+# array summed by einsum, and the two update steps as first written on it.
+
+
+def _einsum_pairwise_sq(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _einsum_batch_weight_update(ms, asg, data, sigma, sq_dist=None):
+    n = asg.wins.astype(np.float64)
+    xbar = winner_means(data, asg)
+    if sq_dist is None:
+        sq_dist = _einsum_pairwise_sq(ms.positions)
+    k = n[:, None] * np.exp(-sq_dist / (sigma * sigma))
+    den = k.sum(axis=0)
+    num = k.T @ xbar
+    new_w = ms.weights.copy()
+    ok = den > 0.0
+    new_w[ok] = num[ok] / den[ok, None]
+    return new_w
+
+
+def _einsum_position_update(ms, asg, sigma, alpha, gamma):
+    n = asg.wins.astype(np.float64)
+    k = n[:, None] * np.exp(-_einsum_pairwise_sq(ms.weights) / (gamma * sigma * sigma))
+    np.fill_diagonal(k, 0.0)
+    den = k.sum(axis=0)
+    num = k.T @ ms.positions - den[:, None] * ms.positions
+    new_r = ms.positions.copy()
+    ok = den > 0.0
+    new_r[ok] += alpha * num[ok] / den[ok, None]
+    return new_r
+
+
+def _points(rng, m, d, scale, offset, duplicates, zeros):
+    points = rng.normal(size=(m, d)) * scale + offset * scale
+    points[rng.integers(0, m, size=duplicates)] = points[rng.integers(0, m)]
+    points[rng.integers(0, m, size=zeros)] = 0.0
+    return points
+
+
+def test_pairwise_sq_equals_one_einsum_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = engine.KERNEL_CHUNK
+
+    # a chunk of None keeps the default, under which up to m = 45 rows fit
+    # in one block at d = 16 and larger maps take several; small chunks
+    # force one row or a few per block
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 70),
+        d=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 17]),
+        log_scale=st.floats(-310, 150),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e4]),
+        duplicates=st.integers(0, 5),
+        zeros=st.integers(0, 3),
+        chunk=st.sampled_from([None, 1, 5, 64, 700]),
+    )
+    def check(seed, m, d, log_scale, offset, duplicates, zeros, chunk):
+        rng = np.random.default_rng(seed)
+        points = _points(rng, m, d, 10.0**log_scale, offset, duplicates, zeros)
+        monkeypatch.setattr(engine, "KERNEL_CHUNK", chunk or default)
+        got = _pairwise_sq(points)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == _einsum_pairwise_sq(points).tobytes()
+
+    check()
+
+
+def test_kernel_updates_equal_the_einsum_formulas_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = engine.KERNEL_CHUNK
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        m=st.integers(1, 50),
+        d=st.sampled_from([1, 2, 3, 4, 16]),
+        log_scale=st.floats(-3, 3),
+        duplicates=st.integers(0, 5),
+        zeros=st.integers(0, 3),
+        sigma=st.floats(0.05, 20.0),
+        gamma=st.floats(0.5, 10.0),
+        chunk=st.sampled_from([None, 3, 200]),
+    )
+    def check(seed, n, m, d, log_scale, duplicates, zeros, sigma, gamma, chunk):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        weights = _points(rng, m, d, scale, 0.0, duplicates, zeros)
+        positions = _points(rng, m, 2, 1.0 + m**0.5, 0.0, duplicates, zeros)
+        ms = make_map(weights, positions=positions)
+        data = Dataset(rng.normal(size=(n, d)) * scale)
+        asg = assign_all(data, ms)
+        monkeypatch.setattr(engine, "KERNEL_CHUNK", chunk or default)
+
+        want = _einsum_batch_weight_update(ms, asg, data, sigma)
+        assert batch_weight_update(ms, asg, data, sigma).tobytes() == want.tobytes()
+        # the baseline hands in the distances of a lattice that never moves;
+        # they must come back untouched for the next epoch
+        sq_dist = _einsum_pairwise_sq(positions)
+        kept = sq_dist.copy()
+        got = batch_weight_update(ms, asg, data, sigma, sq_dist=sq_dist)
+        assert got.tobytes() == want.tobytes()
+        assert sq_dist.tobytes() == kept.tobytes()
+
+        want = _einsum_position_update(ms, asg, sigma, 0.01, gamma)
+        assert position_update(ms, asg, sigma, 0.01, gamma).tobytes() == want.tobytes()
+
+    check()
+
+
+def test_kernel_memory_is_bounded_by_the_chunk():
+    # one m x m x d difference array would be 170 MB here; each m x m
+    # array is 10 MB
+    rng = np.random.default_rng(3)
+    m, d = 1118, 16
+    ms = make_map(rng.normal(size=(m, d)), positions=rng.normal(size=(m, 2)) * 10.0)
+    data = Dataset(rng.normal(size=(3000, d)))
+    asg = assign_all(data, ms)
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(lambda: position_update(ms, asg, 2.0, 0.01, 4.0)) < 32e6
+    assert peak_of(lambda: batch_weight_update(ms, asg, data, 2.0)) < 32e6
 
 
 # ------------------------------------------------------- batch weight update

@@ -266,9 +266,11 @@ def _bound(third: np.ndarray, tol: np.ndarray) -> np.ndarray:
 
 def _search_block(block: np.ndarray, weights: np.ndarray, w_m2, w_sq: np.ndarray, w_sq_max):
     """``_search`` of one block of rows. ``w_m2`` is -2 W^T, so one GEMM and
-    one addition of ``w_sq``, the squared weight norms, make every score;
-    scaling by a power of two is exact. After the best two scores are masked
-    out, the third is read at its ``argmin``, the value ``min`` would give."""
+    one addition of ``w_sq``, the squared weight norms, make every score:
+    scaling by a power of two moves no rounding short of underflow, and the
+    ``tol`` test certifies every winner either way. After the best two scores
+    are masked out, the third is read at its ``argmin``, the value ``min``
+    would give."""
     d = weights.shape[1]
     rows = np.arange(block.shape[0])
 

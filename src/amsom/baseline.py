@@ -24,11 +24,15 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
     """
     schedule = _SigmaSchedule(config, map_state)
     sq_dist = _pairwise_sq(map_state.positions)
+    asg = assign_all(data, map_state)
 
-    def step(epoch, asg):
+    def step(epoch, live):
+        nonlocal asg
         sigma, _ = schedule.step(epoch, map_state)
         map_state.win_count += asg.wins
         map_state.weights = batch_weight_update(map_state, asg, data, sigma, sq_dist=sq_dist)
-        return assign_all(data, map_state), []
+        asg = assign_all(data, map_state)
+        return [(asg.dist, [])]
 
-    return map_state, _run_epochs(data, map_state, config.max_epochs, config.eps1, step, progress)
+    (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)
+    return map_state, reports

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import train_batch_som
-from .core import Dataset
+from .core import Dataset, MapState
 from .datasets import check_split_fractions, generate_cluster_dataset, load_csv, split_dataset
-from .engine import TrainConfig, smooth, train
+from .engine import TrainConfig, smooth_runs, train
 from .errors import ConfigError, DataError
 from .grid import _check_fields, _read_field, create_initial_map
 from .metrics import quality_report
@@ -139,36 +139,56 @@ def _minmax_scaled(reference: Dataset, targets: list) -> list:
     return [Dataset((ds.patterns - lo) / span, ds.labels) for ds in targets]
 
 
-def run_single(
-    train_data: Dataset,
-    test_data: Dataset,
-    config: TrainConfig,
-    sizing: Dataset | None = None,
-    epoch_hook=None,
-) -> tuple[TrainConfig, dict]:
-    """One paired run: adaptive map and baseline from the same initial map.
+@dataclass
+class _Paired:
+    """One paired run between its stages (trained, smoothed, finished): its
+    splits, resolved config, both maps and each phase's reports, which its
+    ``progress`` hooks collect and show to the experiment's epoch hook."""
 
-    Returns the resolved config and, for "amsom" and "som" in that order, a
-    tuple ``(map, labels, record)``: the trained map, its majority-vote
-    neuron labels on the train split (None without labels) and its
-    SUMMARY_METRICS values, keyed in that order.
-    """
+    train_data: Dataset
+    test_data: Dataset
+    cfg: TrainConfig
+    amsom_map: MapState
+    som_map: MapState
+    epoch_hook: object = None
+    reports: dict = field(default_factory=lambda: {"train": [], "smooth": [], "baseline": []})
+
+    def progress(self, phase: str):
+        kept = self.reports[phase]
+        if self.epoch_hook is None:
+            return kept.append
+        map_state = self.som_map if phase == "baseline" else self.amsom_map
+
+        def show(report):
+            kept.append(report)
+            self.epoch_hook(map_state, report, phase)
+
+        return show
+
+
+def _train_paired(train_data, test_data, config, sizing, epoch_hook) -> _Paired:
+    """Stage 1: the initial map, its baseline copy, and the adaptive training."""
     amsom_map, cfg = create_initial_map(train_data, config, sizing=sizing)
-    som_map = amsom_map.copy()
+    paired = _Paired(train_data, test_data, cfg, amsom_map, amsom_map.copy(), epoch_hook)
+    train(train_data, amsom_map, cfg, progress=paired.progress("train"))
+    return paired
 
-    def hook(phase):
-        if epoch_hook is None:
-            return None
-        mapping = {"train": amsom_map, "smooth": amsom_map, "baseline": som_map}
-        return lambda report: epoch_hook(mapping[phase], report, phase)
 
-    _, train_reports = train(train_data, amsom_map, cfg, progress=hook("train"))
-    _, smooth_reports = smooth(train_data, amsom_map, cfg, progress=hook("smooth"))
-    _, som_reports = train_batch_som(train_data, som_map, cfg, progress=hook("baseline"))
+def _smooth_paired(group: list) -> None:
+    """Stage 2: one lockstep smoothing of every run of ``group``."""
+    smooth_runs([(p.train_data, p.amsom_map, p.cfg, p.progress("smooth")) for p in group])
+
+
+def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
+    """Stage 3: the baseline and the metrics of both maps."""
+    train_batch_som(
+        paired.train_data, paired.som_map, paired.cfg, progress=paired.progress("baseline")
+    )
+    epochs = {phase: len(reports) for phase, reports in paired.reports.items()}
 
     def fit(map_state, train_epochs, smooth_epochs):
-        on_train = quality_report(train_data, map_state)
-        on_test = quality_report(test_data, map_state)
+        on_train = quality_report(paired.train_data, map_state)
+        on_test = quality_report(paired.test_data, map_state)
         record = {
             "qe_train": on_train.qe,
             "te_train": on_train.te,
@@ -181,10 +201,30 @@ def run_single(
         }
         return map_state, on_train.neuron_labels, record
 
-    return cfg, {
-        "amsom": fit(amsom_map, len(train_reports), len(smooth_reports)),
-        "som": fit(som_map, len(som_reports), 0),
+    return paired.cfg, {
+        "amsom": fit(paired.amsom_map, epochs["train"], epochs["smooth"]),
+        "som": fit(paired.som_map, epochs["baseline"], 0),
     }
+
+
+def run_single(
+    train_data: Dataset,
+    test_data: Dataset,
+    config: TrainConfig,
+    sizing: Dataset | None = None,
+    epoch_hook=None,
+) -> tuple[TrainConfig, dict]:
+    """One paired run: adaptive map and baseline from the same initial map.
+
+    The one-run case of the stages of ``run_experiment``. Returns the
+    resolved config and, for "amsom" and "som" in that order, a tuple
+    ``(map, labels, record)``: the trained map, its majority-vote neuron
+    labels on the train split (None without labels) and its SUMMARY_METRICS
+    values, keyed in that order.
+    """
+    paired = _train_paired(train_data, test_data, config, sizing, epoch_hook)
+    _smooth_paired([paired])
+    return _finish_paired(paired)
 
 
 def _aggregate(records: list) -> dict:
@@ -231,6 +271,13 @@ def _write_runs_csv(out: Path, records: list) -> None:
             writer.writerow([record[c] if c in ("algorithm", "run") else repr(float(record[c])) for c in columns])
 
 
+# Budget of a group of runs that run_experiment stages together: a group
+# closes once its summed training rows * d, or its summed squared map sizes,
+# reach STAGE_BUDGET entries, so the staged maps and the lockstep smoothing
+# arrays stay bounded however many runs an experiment has.
+STAGE_BUDGET = 1 << 20
+
+
 def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     """Execute all runs of an experiment and write the output files.
 
@@ -240,9 +287,18 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     run_XX_amsom.json / run_XX_som.json snapshots, runs.csv, summary.csv and
     summary.txt. Two invocations with the same spec produce identical bytes.
 
-    A failing run aborts the experiment: the runs completed before it (both
-    snapshots written) are aggregated as usual, summary.txt names the failed
-    run after a FAILED marker, and the error is re-raised.
+    Runs are staged in groups of at most ``STAGE_BUDGET`` (see there): each
+    group's runs are split, initialised and trained run by run, then
+    smoothed together by one ``smooth_runs`` call, then given their baseline,
+    metrics and snapshots run by run, in run order. The outputs do not
+    depend on the grouping. ``epoch_hook(map_state, report, phase)`` thus
+    sees a group's train epochs run by run, then its smoothing epochs
+    interleaved epoch by epoch (runs in order within an epoch), then each
+    run's baseline epochs.
+
+    A failing run aborts the experiment: the runs before it (both snapshots
+    written) are aggregated as usual, summary.txt names the failed run after
+    a FAILED marker, and the error is re-raised.
     """
     full = load_dataset(spec.dataset, spec.label_column, seed=spec.config.seed)
     out = Path(spec.output_dir)
@@ -252,30 +308,48 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
         raise ConfigError(f"cannot create output_dir {out}: {exc}") from exc
     fractions = (spec.train_frac, spec.test_frac, spec.val_frac)
 
+    def start(run):
+        split_seed, model_seed = _derived_seeds(spec.config.seed, run)
+        train_data, test_data, _ = split_dataset(full, fractions, split_seed)
+        sizing = full
+        if spec.normalize:
+            train_data, test_data, sizing = _minmax_scaled(
+                train_data, [train_data, test_data, full]
+            )
+        run_cfg = replace(spec.config, seed=model_seed)
+        return _train_paired(train_data, test_data, run_cfg, sizing, epoch_hook)
+
     records: list = []
     error = None
     try:
-        for run in range(spec.runs):
-            split_seed, model_seed = _derived_seeds(spec.config.seed, run)
-            train_data, test_data, _ = split_dataset(full, fractions, split_seed)
-            sizing = full
-            if spec.normalize:
-                train_data, test_data, sizing = _minmax_scaled(
-                    train_data, [train_data, test_data, full]
-                )
-            run_cfg = replace(spec.config, seed=model_seed)
-            cfg, fits = run_single(
-                train_data, test_data, run_cfg, sizing=sizing, epoch_hook=epoch_hook
-            )
-            for algorithm, (map_state, labels, record) in fits.items():
-                export_snapshot_json(
-                    map_state,
-                    out / f"run_{run:02d}_{algorithm}.json",
-                    labels=labels,
-                    config=dataclasses.asdict(cfg),
-                    metrics={k: v for k, v in record.items() if k != "dead_fraction_train"},
-                )
-            records += [{"algorithm": a, "run": run, **rec} for a, (_, _, rec) in fits.items()]
+        done = 0
+        while done < spec.runs and error is None:
+            group, rows, squares = [], 0, 0
+            try:
+                while done + len(group) < spec.runs and max(rows, squares) < STAGE_BUDGET:
+                    paired = start(done + len(group))
+                    group.append(paired)
+                    rows += paired.train_data.n * paired.train_data.d
+                    squares += paired.amsom_map.m ** 2
+            except Exception as exc:
+                error = exc
+            try:
+                _smooth_paired(group)
+            except Exception as exc:
+                # the runs before the failing one are smoothed; it comes first
+                group, error = group[: getattr(exc, "run", 0)], exc
+            for paired in group:
+                cfg, fits = _finish_paired(paired)
+                for algorithm, (map_state, labels, record) in fits.items():
+                    export_snapshot_json(
+                        map_state,
+                        out / f"run_{done:02d}_{algorithm}.json",
+                        labels=labels,
+                        config=dataclasses.asdict(cfg),
+                        metrics={k: v for k, v in record.items() if k != "dead_fraction_train"},
+                    )
+                records += [{"algorithm": a, "run": done, **rec} for a, (_, _, rec) in fits.items()]
+                done += 1
     except Exception as exc:
         error = exc
 

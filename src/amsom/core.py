@@ -8,7 +8,6 @@ mapping every pattern to its best and second-best neuron.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,24 +194,26 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 8
 
 
-def _in_blocks(search, patterns: np.ndarray, step: int, *args):
-    """``search(rows, *args)`` over blocks of at most ``step`` rows, its
-    (int, int, float, float) results joined; rows that fit in one block are
-    searched whole, with nothing preallocated."""
-    n = patterns.shape[0]
+def _in_blocks(search, rows: tuple, step: int, *args):
+    """``search(*blocks, *args)`` over blocks of at most ``step`` rows of
+    each array of ``rows`` (arrays of one row count), its (int, int, float,
+    float) results joined; rows that fit in one block are searched whole,
+    with nothing preallocated."""
+    n = rows[0].shape[0]
     if n <= step:
-        return search(patterns, *args)
+        return search(*rows, *args)
     out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
     for start in range(0, n, step):
         stop = start + step
-        for whole, part in zip(out, search(patterns[start:stop], *args)):
+        for whole, part in zip(out, search(*(r[start:stop] for r in rows), *args)):
             whole[start:stop] = part
     return out
 
 
 def _exact_block(patterns: np.ndarray, weights: np.ndarray):
-    """``_exact_rows`` of one block of rows, from one difference array."""
-    n, m = patterns.shape[0], weights.shape[0]
+    """``_exact_rows`` of one block of rows, from one difference array.
+    ``weights`` is (m, d), or (n, m, d) for neurons of each row's own."""
+    n, m = patterns.shape[0], weights.shape[-2]
     diff = patterns[:, None, :] - weights
     d2 = np.einsum("nmd,nmd->nm", diff, diff)
     rows = np.arange(n)
@@ -237,7 +238,7 @@ def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
     m = 1.
     """
     m, d = weights.shape
-    return _in_blocks(_exact_block, patterns, max(1, CHUNK // (m * d)), weights)
+    return _in_blocks(_exact_block, (patterns,), max(1, CHUNK // (m * d)), weights)
 
 
 def _tol(scale, d: int):
@@ -264,19 +265,23 @@ def _bound(third: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.minimum(third, _MAX_SCALE) - 2.0 * tol, 0.0))
 
 
-def _search_block(block: np.ndarray, weights: np.ndarray, w_m2, w_sq: np.ndarray, w_sq_max):
-    """``_search`` of one block of rows. ``w_m2`` is -2 W^T, so one GEMM and
-    one addition of ``w_sq``, the squared weight norms, make every score:
-    scaling by a power of two moves no rounding short of underflow, and the
-    ``tol`` test certifies every winner either way. After the best two scores
-    are masked out, the third is read at its ``argmin``, the value ``min``
-    would give."""
+def _search_block(block: np.ndarray, ones: np.ndarray, weights: np.ndarray, w_aug, w_sq_max):
+    """``_search`` of one block of rows. ``ones`` is the block with a column
+    of ones appended and ``w_aug`` stacks -2 W^T over the squared weight
+    norms, so one GEMM makes every score |w|^2 - 2 p.w, with no pass over
+    the scores to add the norms. Scaling by a power of two moves no rounding
+    short of underflow. A score is a dot product of d + 1 terms whose
+    magnitudes sum to 2 |p||w| + |w|^2 <= 2 (|p|^2 + max |w|^2), and the
+    norm it adds is itself within d eps |w|^2, so to first order in eps it
+    is off by at most (3 d + 2) eps scale, scale = |p|^2 + max |w|^2, in any
+    summation order: inside the ``tol`` of 8 (d + 2) eps scale, which
+    certifies every winner either way. After the best two scores are masked
+    out, the third is read at its ``argmin``, the value ``min`` would give."""
     d = weights.shape[1]
     rows = np.arange(block.shape[0])
 
     # squared distance minus |p|^2, within tol of its true value
-    g = block @ w_m2
-    g += w_sq
+    g = ones @ w_aug
     a = g.argmin(axis=1)
     g[rows, a] = np.inf
     b = g.argmin(axis=1)
@@ -303,13 +308,18 @@ def _search(patterns: np.ndarray, weights: np.ndarray):
     """The search of ``assign_all``: winner, runner-up, winner distance and
     a lower bound on each row's distance to every other neuron, from its
     third-best score (or brute-force distance); inf when m <= 2."""
+    n, d = patterns.shape
     m = weights.shape[0]
     if m <= 2:
-        return (*_exact_rows(patterns, weights)[:3], np.full(patterns.shape[0], np.inf))
-    w_sq = np.einsum("md,md->m", weights, weights)
-    w_m2 = (-2.0 * weights).T
+        return (*_exact_rows(patterns, weights)[:3], np.full(n, np.inf))
+    w_aug = np.empty((d + 1, m))
+    np.multiply(weights.T, -2.0, out=w_aug[:d])
+    w_sq = np.einsum("md,md->m", weights, weights, out=w_aug[d])
+    ones = np.empty((n, d + 1))
+    ones[:, :d] = patterns
+    ones[:, d] = 1.0
     return _in_blocks(
-        _search_block, patterns, max(1, CHUNK // m), weights, w_m2, w_sq, w_sq.max()
+        _search_block, (patterns, ones), max(1, CHUNK // m), weights, w_aug, w_sq.max()
     )
 
 
@@ -323,8 +333,8 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     Exactness: the result is bit-identical to the brute-force search
     ``_exact_rows`` (squared differences summed over d for every pair).
     Patterns are scored in blocks of ``max(1, CHUNK // m)`` rows with one
-    GEMM, ``|w|^2 - 2 p.w``; the two best scores are recomputed by the
-    brute-force formula and ordered by (distance, index). A row whose third
+    GEMM, ``[p, 1] @ [-2 W^T; |w|^2]``; the two best scores are recomputed
+    by the brute-force formula and ordered by (distance, index). A row whose third
     best score is not clear of the second by twice the rounding bound
     ``8 (d + 2) eps (|p|^2 + max |w|^2)`` cannot be decided from the scores
     and is searched by brute force instead, as are all rows of a map with at
@@ -337,10 +347,12 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     return Assignment(winner, second, dist, map_state.m)
 
 
-# PrunedSearch sends the rows it searches again to the brute-force
-# _exact_rows while rows * m * d is at most this, else to the GEMM search.
-# With one BLAS thread on a 2-core x86 host the two cross between 4800 and
-# 8100 entries at m=150, d=2, and between 8260 and 11800 at m=59, d=4.
+# PrunedSearch sends the rows of one run it searches again to the
+# brute-force _exact_rows while rows * m * d is at most this, else to the GEMM
+# search. With one BLAS thread on a 2-core x86 host the two cross between 4800
+# and 8100 entries at m=150, d=2, and between 8260 and 11800 at m=59, d=4.
+# Rows of several runs are searched in one brute-force call while their
+# padded work is at most EXACT_ROUTE per run (and CHUNK in all).
 EXACT_ROUTE = 8192
 
 
@@ -355,18 +367,58 @@ class PrunedSearch:
     takes them. A call in which no row fails its bound makes no search call
     at all. O(n) state. A pair needs two neurons, so a map of one raises
     MapStructureError.
+
+    ``runs`` splits the rows of ``data`` and the neurons of the weights into
+    consecutive runs, one ``(rows, neurons)`` per run; the default is one run
+    of every row and every neuron. A row is searched among its own run's
+    neurons only, the movement and ``tol`` are each run's own (a maximum is
+    exact), and the indices returned count the neurons of all runs in order.
+    Rows of several runs searched again share one brute-force call against
+    their runs' weights padded with inf to the largest run; past
+    ``EXACT_ROUTE`` per run, each run's rows take the route one run would.
     """
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, runs=None):
         self.patterns = data.patterns
-        self.p_sq_max = np.einsum("nd,nd->n", data.patterns, data.patterns).max()
+        p_sq = np.einsum("nd,nd->n", data.patterns, data.patterns)
+        rows, neurons = zip(*runs) if runs is not None else ((data.n,), (0,))
+        if sum(rows) != data.n:
+            raise DataError(f"runs hold {sum(rows)} rows, the data {data.n}")
+        if runs is not None and min(neurons) < 2:
+            raise MapStructureError("the pruned search needs at least 2 neurons per run")
+        self.runs = len(rows)
+        self.neurons = np.array(neurons)
+        self.row_starts = np.cumsum(rows) - rows
+        self.neuron_starts = np.cumsum(neurons) - self.neurons
+        self.p_sq_max = self._per_run(np.maximum.reduceat(p_sq, self.row_starts))
+        if self.runs > 1:
+            self.run_of_row = np.repeat(np.arange(self.runs), rows)
+            # each run's neurons in a row, padded with the index of an inf row
+            # appended to the weights: inf distances lose every argmin tie to
+            # the run's own neurons, which come first
+            local = np.arange(self.neurons.max())
+            self.padded = np.where(
+                local < self.neurons[:, None],
+                self.neuron_starts[:, None] + local,
+                self.neurons.sum(),
+            )
         # no pair yet: a zero bound sends every row to the search
         self.pair = np.zeros((data.n, 2), dtype=np.int64)
         self.bound = np.zeros(data.n)
         self.prev = None
 
+    def _per_run(self, values: np.ndarray):
+        """One value per run, as a scalar for a single run: the arithmetic on
+        it then runs on scalars, with the bits of the array's."""
+        return values[0] if self.runs == 1 else values
+
     def __call__(self, map_state: MapState) -> Assignment:
-        patterns, weights = self.patterns, map_state.weights
+        return self.assign(map_state.weights)
+
+    def assign(self, weights: np.ndarray) -> Assignment:
+        """The assignment of every row against ``weights``, which this
+        search reads only and copies for the next call's movement."""
+        patterns, starts = self.patterns, self.neuron_starts
         m, d = weights.shape
         if m < 2:
             raise MapStructureError("the pruned search needs at least 2 neurons")
@@ -374,23 +426,59 @@ class PrunedSearch:
         self.prev = weights.copy()
         # the factor below 1 covers the rounding of the subtraction; a
         # non-finite movement leaves no bound positive
-        move = math.sqrt(np.einsum("md,md->m", step, step).max()) * (1.0 + (d + 2) * _EPS)
+        top = self._per_run(np.maximum.reduceat(np.einsum("md,md->m", step, step), starts))
+        move = np.sqrt(top) * (1.0 + (d + 2) * _EPS)
+        # one tol per run, at the largest scale of any of its rows
+        top = self._per_run(np.maximum.reduceat(np.einsum("md,md->m", weights, weights), starts))
+        tol = _tol(self.p_sq_max + top, d)
+        if self.runs > 1:
+            move, tol = move.take(self.run_of_row), tol.take(self.run_of_row)
         self.bound = bound = (self.bound - move) * (1.0 - _EPS)
         winner, second, dist, far = _pair(patterns, weights, self.pair)
-        # one tol for all rows, at the largest scale of any
-        tol = _tol(self.p_sq_max + np.einsum("md,md->m", weights, weights).max(), d)
         redo = (~((bound > 0.0) & (far + tol < bound * bound))).nonzero()[0]
         if redo.size:
-            if redo.size * m * d <= EXACT_ROUTE:
-                *again, third = _exact_rows(patterns[redo], weights)
-                again.append(_bound(third, tol))
-            else:
-                again = _search(patterns[redo], weights)
-            for whole, part in zip((winner, second, dist, bound), again):
-                whole[redo] = part
-            self.pair[redo, 0] = np.minimum(again[0], again[1])
-            self.pair[redo, 1] = np.maximum(again[0], again[1])
+            for rows, again in self._search_again(redo, weights, tol):
+                for whole, part in zip((winner, second, dist, bound), again):
+                    whole[rows] = part
+                self.pair[rows, 0] = np.minimum(again[0], again[1])
+                self.pair[rows, 1] = np.maximum(again[0], again[1])
         return Assignment(winner, second, dist, m)
+
+    def _search_again(self, redo: np.ndarray, weights: np.ndarray, tol) -> list:
+        """``(rows, (winner, second, dist, bound))`` for the rows ``redo``:
+        of all of them from one search, or of each run's rows from its own."""
+        patterns = self.patterns
+        if self.runs == 1:
+            return [(redo, _search_run(patterns[redo], weights, tol))]
+        d = weights.shape[1]
+        runs = self.run_of_row.take(redo)
+        start = self.neuron_starts.take(runs)
+        if redo.size * self.padded.shape[1] * d <= min(EXACT_ROUTE * self.runs, CHUNK):
+            inf_row = np.full((1, d), np.inf)
+            own = np.concatenate([weights, inf_row]).take(self.padded.take(runs, axis=0), axis=0)
+            best, second, dist, third = _exact_block(patterns[redo], own)
+            return [(redo, (best + start, second + start, dist, _bound(third, tol[redo])))]
+        found = []
+        cuts = np.searchsorted(redo, self.row_starts).tolist() + [redo.size]
+        for run, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if lo < hi:
+                rows, a = redo[lo:hi], start[lo]
+                own = weights[a : a + self.neurons[run]]
+                winner, second, dist, bound = _search_run(patterns[rows], own, tol[rows])
+                found.append((rows, (winner + a, second + a, dist, bound)))
+        return found
+
+
+def _search_run(patterns: np.ndarray, weights: np.ndarray, tol):
+    """Winner, runner-up, winner distance and bound of rows searched again
+    against one run's weights: by brute force while rows * m * d is at most
+    EXACT_ROUTE, with the bound from the third distance within ``tol``, else
+    by the GEMM search."""
+    m, d = weights.shape
+    if patterns.shape[0] * m * d <= EXACT_ROUTE:
+        *found, third = _exact_rows(patterns, weights)
+        return (*found, _bound(third, tol))
+    return _search(patterns, weights)
 
 
 def winner_means(data: Dataset, assignment: Assignment) -> np.ndarray:
@@ -428,5 +516,10 @@ def mean_quantization_error(assignment: Assignment) -> float:
     The sum and division ``np.mean`` makes, a pairwise ``np.add.reduce``
     divided by n, without its per-call dispatch.
     """
-    dist = assignment.dist
+    return _mean_root(assignment.dist)
+
+
+def _mean_root(dist: np.ndarray) -> float:
+    """The mean of the roots of ``dist``, as ``mean_quantization_error``
+    takes it."""
     return float(np.add.reduce(np.sqrt(dist)) / dist.size)

@@ -40,6 +40,23 @@ def _holds_integer_label(cell: str) -> bool:
     return value.is_integer() and abs(value) < 2.0**63
 
 
+def _read_record(path, lineno: int, row: list, label_idx: int | None) -> list | None:
+    """The features of one record, read cell by cell: None if any cell is
+    a missing token, else DataError at the first feature that is no number."""
+    cells = [cell.strip() for cell in row]
+    if any(cell.lower() in MISSING_TOKENS for cell in cells):
+        return None
+    features = []
+    for col, cell in enumerate(cells):
+        if col == label_idx:
+            continue
+        try:
+            features.append(float(cell))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: unparseable value {cell!r}") from None
+    return features
+
+
 def load_csv(path, label_column: int | str | None = None) -> Dataset:
     """Load a comma-separated numeric dataset.
 
@@ -101,21 +118,25 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     for lineno, row in rows:
         if len(row) != width:
             raise DataError(f"{path}: line {lineno}: expected {width} cells, got {len(row)}")
-        cells = [cell.strip() for cell in row]
-        if any(cell.lower() in MISSING_TOKENS for cell in cells):
+        # One float() per cell, which strips the blanks strip() would: a
+        # missing token fails it or reads as NaN, so only records holding
+        # one (or a cell that is no number) are read again cell by cell.
+        cells = row if label_idx is None else row[:label_idx] + row[label_idx + 1 :]
+        try:
+            features = list(map(float, cells))
+        except ValueError:
+            features = None
+        if features is None or math.isnan(sum(features)):
+            features = _read_record(path, lineno, row, label_idx)
+            if features is None:
+                skipped += 1
+                continue
+        elif label_idx is not None and row[label_idx].strip().lower() in MISSING_TOKENS:
             skipped += 1
             continue
-        features = []
-        for col, cell in enumerate(cells):
-            if col == label_idx:
-                continue
-            try:
-                features.append(float(cell))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: unparseable value {cell!r}") from None
         patterns.append(features)
         if label_idx is not None:
-            raw_labels.append(cells[label_idx])
+            raw_labels.append(row[label_idx].strip())
 
     if skipped:
         log.warning("%s: skipped %d rows with missing values", path, skipped)

@@ -21,12 +21,12 @@ from .core import (
     Dataset,
     MapState,
     PrunedSearch,
+    _mean_root,
     assign_all,
-    mean_quantization_error,
     per_neuron_quantization,
     winner_means,
 )
-from .errors import ConfigError, MapStructureError, TrainingError
+from .errors import ConfigError, DataError, MapStructureError, TrainingError
 from .grid import MAX_DEGREE, RECTANGULAR, _check_fields, growing_threshold, initial_sigma
 
 
@@ -247,27 +247,26 @@ def position_update(
     return new_r
 
 
-def _pull(state, t, bins, k, pull, rate):
-    """Move each target row of ``state`` by ``rate`` times the k-weighted
-    mean of the ``pull`` rows of its pairs, whose targets are ``t``. ``bins``
-    numbers the flattened (pair, coordinate) entries by (target,
-    coordinate), so one ``np.bincount`` sums every coordinate in pair order,
-    not in a BLAS order. Targets whose weights sum to zero keep their row.
-    Returns the new array."""
+def _pull(state, t, bins, k, pull, rate) -> None:
+    """Move each target row of ``state``, in place, by ``rate`` times the
+    k-weighted mean of the ``pull`` rows of its pairs, whose targets are
+    ``t``. ``bins`` numbers the flattened (pair, coordinate) entries by
+    (target, coordinate), so one ``np.bincount`` sums every coordinate in
+    pair order, not in a BLAS order. Targets whose weights sum to zero keep
+    their row. ``rate`` is a scalar or one value per row, as a column."""
     m, dim = state.shape
     den = np.bincount(t, weights=k, minlength=m)
     num = np.bincount(bins, weights=(k[:, None] * pull).ravel(), minlength=m * dim)
     num = num.reshape(m, dim)
     ok = den > 0.0
     if ok.all():
-        return state + rate * (num / den[:, None])
+        state += rate * (num / den[:, None])
+        return
     ok = ok[:, None]
     # float64 buffers: bincount over no pairs returns int64
     mean = np.zeros((m, dim))
     np.divide(num, den[:, None], out=mean, where=ok)
-    new = state.copy()
-    np.add(new, rate * mean, out=new, where=ok)
-    return new
+    np.add(state, rate * mean, out=state, where=ok)
 
 
 def process_pattern_edges(map_state: MapState, winner: int, second: int) -> None:
@@ -535,35 +534,51 @@ class _SigmaSchedule:
         return sigma, 0.0
 
 
-def _run_epochs(data: Dataset, map_state: MapState, max_epochs: int, eps: float, step, progress):
-    """The epoch loop shared by ``train``, ``smooth`` and ``train_batch_som``.
+def _run_epochs(runs, step):
+    """The epoch loop shared by ``train``, ``smooth_runs`` and ``train_batch_som``.
 
-    ``step(epoch, asg)`` gets the assignment of the map as it stands at the
-    start of the epoch, updates the map in place and returns
-    ``(asg, events)``: the assignment of the map as it stands at the end of
-    the epoch, and that epoch's structural events. The error of that end
-    assignment goes into the epoch's report. Nothing touches the map between
-    two epochs, so the same assignment starts the next one. Stops when the
-    epoch-to-epoch error change drops under ``eps``, and always after
-    ``max_epochs``. Returns the list of reports.
+    ``runs`` lists each run's ``(max_epochs, eps, progress)``. ``step(epoch,
+    live)`` advances the runs whose indices ``live`` lists, in ascending
+    order, by one epoch, updating their maps in place, and returns one
+    ``(dist, events)`` per live run: the squared winner distances of the map
+    as it stands at the end of the epoch, whose mean root is the epoch's
+    error, and that epoch's structural events. Each run has its own reports,
+    finite check, stop test and ``progress``, called in run order within an
+    epoch. A run stops when its epoch-to-epoch error change drops under its
+    ``eps``, and always after its ``max_epochs``; it then leaves ``live``,
+    and the others go on. An error in a run's own part of an epoch (a
+    non-finite error, or one its ``progress`` raises) stops it and every
+    later run; the earlier runs finish, and the error is then raised with
+    the failing run's index as its ``run`` attribute. Returns the list of
+    reports of each run.
     """
-    reports = []
-    prev_mqe = None
-    asg = assign_all(data, map_state)
-    for epoch in range(1, max_epochs + 1):
-        asg, events = step(epoch, asg)
-        mqe = mean_quantization_error(asg)
-        if not math.isfinite(mqe):
-            raise TrainingError(f"non-finite mqe at epoch {epoch}")
-
-        report = EpochReport(epoch, mqe, events)
-        reports.append(report)
-        if progress is not None:
-            progress(report)
-
-        if prev_mqe is not None and abs(mqe - prev_mqe) < eps:
-            break
-        prev_mqe = mqe
+    reports = [[] for _ in runs]
+    prev = [None] * len(runs)
+    live = list(range(len(runs)))
+    failure = None
+    epoch = 0
+    while live:
+        epoch += 1
+        going = []
+        for i, (dist, events) in zip(live, step(epoch, live)):
+            max_epochs, eps, progress = runs[i]
+            try:
+                mqe = _mean_root(dist)
+                if not math.isfinite(mqe):
+                    raise TrainingError(f"non-finite mqe at epoch {epoch}")
+                report = EpochReport(epoch, mqe, events)
+                reports[i].append(report)
+                if progress is not None:
+                    progress(report)
+            except Exception as exc:
+                exc.run, failure = i, exc
+                break
+            if epoch < max_epochs and not (prev[i] is not None and abs(mqe - prev[i]) < eps):
+                going.append(i)
+            prev[i] = mqe
+        live = going
+    if failure is not None:
+        raise failure
     return reports
 
 
@@ -575,7 +590,7 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     then stands; training stops early when the epoch-to-epoch change drops
     under eps1, and always at max_epochs. ``progress`` (if given) receives
     every EpochReport as it is produced. The epoch loop is the one shared
-    with ``smooth`` and the baseline.
+    with ``smooth_runs`` and the baseline.
     """
     if map_state.m < 2:
         raise MapStructureError("training needs at least 2 neurons")
@@ -585,9 +600,12 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
 
     epochs_since_add = 0
     schedule = _SigmaSchedule(config, map_state)
+    # the assignment of the map as it stands; nothing touches the map between
+    # two epochs, so the one that ends an epoch starts the next
+    asg = assign_all(data, map_state)
 
-    def step(epoch, asg):
-        nonlocal epochs_since_add
+    def step(epoch, live):
+        nonlocal epochs_since_add, asg
         sigma, alpha = schedule.step(epoch, map_state)
         _apply_epoch_edges(map_state, asg)
         map_state.weights = batch_weight_update(map_state, asg, data, sigma)
@@ -613,12 +631,15 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
 
         if split_events or any(e["kind"] == "neuron_removed" for e in degree_events):
             asg = assign_all(data, map_state)
-        return asg, events
+        return [(asg.dist, events)]
 
-    return map_state, _run_epochs(data, map_state, config.max_epochs, config.eps1, step, progress)
+    (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)
+    return map_state, reports
 
 
-def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
+def smooth(
+    data: Dataset, map_state: MapState, config: TrainConfig, progress=None, *, _lockstep=None
+):
     """Fine-tune weights and positions with the structure frozen.
 
     The neighborhood is restricted to each neuron's direct graph neighbors
@@ -634,48 +655,159 @@ def smooth(data: Dataset, map_state: MapState, config: TrainConfig, progress=Non
     in epochs that start from other winners than the last one did; the
     other epochs never count wins, since an assignment counts them when
     first read. Stops when the epoch-to-epoch error change drops under
-    eps2, or after smooth_max_epochs. Returns ``(map_state, reports)``. The
-    epoch loop is the one shared with ``train`` and the baseline; after its
-    first ``assign_all``, ``PrunedSearch`` finds each epoch's winners, and
-    an epoch in which every pattern keeps its pair runs no search at all.
+    eps2, or after smooth_max_epochs. Returns ``(map_state, reports)``.
+    This is the one-run case of ``smooth_runs``; after its first
+    ``assign_all``, ``PrunedSearch`` finds each epoch's winners, and an
+    epoch in which every pattern keeps its pair runs no search at all.
+
+    ``_lockstep`` is for ``smooth_runs`` alone: it runs its runs, of which
+    this call's is the first, under this call, where a span profiler that
+    knows ``smooth`` as the smoothing phase (perfbench's tracer) finds them.
     """
-    if map_state.m < 2:
-        raise MapStructureError("smoothing needs at least 2 neurons")
+    if _lockstep is None:
+        _lockstep = _Lockstep([(data, map_state, config, progress)])
+    return map_state, _lockstep.run()[0]
 
-    # np.nonzero lists pairs by row, then column; the graph is symmetric, so
-    # rows serve as targets and columns as sources. The position step takes
-    # the off-diagonal pairs in the same order, so both steps sum in pair order.
-    t, s = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
-    off = (t != s).nonzero()[0]
-    t_off, s_off = t[off], s[off]
-    d_w, d_r = map_state.weights.shape[1], map_state.positions.shape[1]
-    w_bins = (t[:, None] * d_w + np.arange(d_w)).ravel()
-    r_bins = (t_off[:, None] * d_r + np.arange(d_r)).ravel()
-    sigma = _cell_width_sigma(map_state, config)
-    # -x / c, as x / -c: negation is exact and rounding symmetric in sign
-    neg_sigma2, neg_width2 = -(sigma * sigma), -(config.gamma * sigma * sigma)
-    rate = config.alpha_smooth
-    search = PrunedSearch(data)
-    # the winner statistics gathered at the sources; the data and m are fixed,
-    # so they change only when the winners do
-    winner = n_s = n_off = xbar_s = None
 
-    def step(epoch, asg):
-        nonlocal winner, n_s, n_off, xbar_s
-        if winner is None or (asg.winner != winner).any():
-            winner = asg.winner
+def smooth_runs(runs):
+    """Smooth several ``(data, map_state, config, progress)`` runs in
+    lockstep, each exactly as ``smooth`` alone smooths it, and return each
+    run's reports.
+
+    Every epoch is one set of array calls over the live runs side by side:
+    their rows, neurons and graph pairs are concatenated, each run's in its
+    own order, so every ``np.bincount`` bin, pairwise sum and ``argmin``
+    gets the operands a run alone would give it, in the same order, and the
+    maps, reports and errors are bit for bit those of separate calls. Only
+    each run's error and its ``progress`` call are taken run by run, and
+    within an epoch the runs report in the order given. A run that stops
+    (on its eps2 or its smooth_max_epochs) leaves the batch with its state
+    frozen; the others go on. A run whose error turns non-finite, or whose
+    ``progress`` raises, stops with every later run; the earlier runs
+    finish, and its error is then raised with the run's index in ``runs``
+    as its ``run`` attribute. The runs share one input dimension. Each
+    map's weights and positions become views into the batch's arrays.
+    """
+    lockstep = _Lockstep(runs)
+    if lockstep.runs:
+        smooth(*lockstep.runs[0], _lockstep=lockstep)
+    return lockstep.reports
+
+
+def _spread(values: list, counts: list):
+    """Each run's value repeated over its ``counts`` entries; a value every
+    run shares stays one scalar."""
+    if all(value == values[0] for value in values):
+        return values[0]
+    return np.repeat(np.array(values, dtype=np.float64), counts)
+
+
+class _Lockstep:
+    """The runs of ``smooth_runs`` as one problem of concatenated arrays,
+    stepped one epoch at a time for the live ones. The kernel widths and the
+    rate are stored per pair and per neuron (a value every run shares stays
+    a scalar); the winner search is one ``PrunedSearch`` over all the runs.
+    Each live map's weights and positions are views into the shared arrays,
+    which the epoch updates in place. When a run leaves, the others are
+    joined again into new arrays, and the one that left keeps views that
+    nothing writes to any more."""
+
+    def __init__(self, runs):
+        self.runs = [tuple(run) for run in runs]
+        self.reports = []
+        for _, map_state, _, _ in self.runs:
+            if map_state.m < 2:
+                raise MapStructureError("smoothing needs at least 2 neurons")
+        if len({data.d for data, _, _, _ in self.runs}) > 1:
+            raise DataError("runs smoothed in lockstep need one input dimension")
+
+    def run(self) -> list:
+        """Smooth every run; returns (and keeps) the reports of each."""
+        starts = [assign_all(data, map_state) for data, map_state, _, _ in self.runs]
+        self.fixed = []
+        for _, map_state, config, _ in self.runs:
+            # np.nonzero lists pairs by row, then column; the graph is
+            # symmetric, so rows serve as targets and columns as sources. The
+            # position step takes the off-diagonal pairs in the same order,
+            # so both steps sum in pair order. The width is the cell width at
+            # the start of smoothing, held fixed.
+            t, s = np.nonzero(map_state.edges | np.eye(map_state.m, dtype=bool))
+            sigma = _cell_width_sigma(map_state, config)
+            # -x / c, as x / -c: negation is exact and rounding symmetric in sign
+            self.fixed.append((t, s, -(sigma * sigma), -(config.gamma * sigma * sigma)))
+        self.live = list(range(len(self.runs)))
+        self._join(starts)
+        loops = [(cfg.smooth_max_epochs, cfg.eps2, progress) for _, _, cfg, progress in self.runs]
+        self.reports = _run_epochs(loops, self.step)
+        return self.reports
+
+    def _join(self, starts=None) -> None:
+        """Concatenate the live runs. Their assignments are ``starts`` (one
+        per live run), or the search's first one when a run left."""
+        runs = [self.runs[i] for i in self.live]
+        fixed = [self.fixed[i] for i in self.live]
+        maps = [map_state for _, map_state, _, _ in runs]
+        m = [map_state.m for map_state in maps]
+        first = (np.cumsum(m) - m).tolist()
+        self.w = w = np.concatenate([map_state.weights for map_state in maps])
+        self.r = r = np.concatenate([map_state.positions for map_state in maps])
+        for map_state, a, size in zip(maps, first, m):
+            map_state.weights, map_state.positions = w[a : a + size], r[a : a + size]
+
+        t = np.concatenate([f[0] + a for f, a in zip(fixed, first)])
+        s = np.concatenate([f[1] + a for f, a in zip(fixed, first)])
+        off = (t != s).nonzero()[0]
+        t_off, s_off = t[off], s[off]
+        d_w, d_r = w.shape[1], r.shape[1]
+        w_bins = (t[:, None] * d_w + np.arange(d_w)).ravel()
+        r_bins = (t_off[:, None] * d_r + np.arange(d_r)).ravel()
+        self.s, self.s_off = s, s_off
+        self.pairs = (t, s, off, t_off, s_off, w_bins, r_bins)
+        pairs = [f[0].size for f in fixed]
+        self.neg_sigma2 = _spread([f[2] for f in fixed], pairs)
+        self.neg_width2 = _spread([f[3] for f in fixed], [p - size for p, size in zip(pairs, m)])
+        rate = _spread([config.alpha_smooth for _, _, config, _ in runs], m)
+        self.rate = rate[:, None] if isinstance(rate, np.ndarray) else rate
+
+        n = [data.n for data, _, _, _ in runs]
+        self.data = runs[0][0] if len(runs) == 1 else Dataset(
+            np.concatenate([data.patterns for data, _, _, _ in runs])
+        )
+        self.spans = [(a, a + size) for a, size in zip((np.cumsum(n) - n).tolist(), n)]
+        self.search = PrunedSearch(self.data, list(zip(n, m)))
+        if starts is None:
+            self.asg = self.search.assign(w)
+        elif len(starts) == 1:
+            self.asg = starts[0]
+        else:
+            self.asg = Assignment(
+                np.concatenate([asg.winner + a for asg, a in zip(starts, first)]),
+                np.concatenate([asg.second + a for asg, a in zip(starts, first)]),
+                np.concatenate([asg.dist for asg in starts]),
+                w.shape[0],
+            )
+        # the winner statistics gathered at the sources; the data and m are
+        # fixed, so they change only when the winners do
+        self.winner = self.n_s = self.n_off = self.xbar_s = None
+
+    def step(self, epoch: int, live: list) -> list:
+        if live != self.live:
+            self.live = list(live)
+            self._join()
+        asg = self.asg
+        if self.winner is None or (asg.winner != self.winner).any():
+            self.winner = asg.winner
             n = asg.wins.astype(np.float64)
-            n_s, n_off = n.take(s), n.take(s_off)
-            xbar_s = winner_means(data, asg).take(s, axis=0)
-        w, r = map_state.weights, map_state.positions
+            self.n_s, self.n_off = n.take(self.s), n.take(self.s_off)
+            self.xbar_s = winner_means(self.data, asg).take(self.s, axis=0)
+        w, r = self.w, self.r
+        t, s, off, t_off, s_off, w_bins, r_bins = self.pairs
         gap = r.take(s, axis=0) - r.take(t, axis=0)
-        k = n_s * np.exp(np.einsum("ed,ed->e", gap, gap) / neg_sigma2)
-        map_state.weights = w = _pull(w, t, w_bins, k, xbar_s - w.take(t, axis=0), rate)
+        k = self.n_s * np.exp(np.einsum("ed,ed->e", gap, gap) / self.neg_sigma2)
+        _pull(w, t, w_bins, k, self.xbar_s - w.take(t, axis=0), self.rate)
         w_gap = w.take(s_off, axis=0) - w.take(t_off, axis=0)
-        k = n_off * np.exp(np.einsum("ed,ed->e", w_gap, w_gap) / neg_width2)
-        map_state.positions = _pull(r, t_off, r_bins, k, gap.take(off, axis=0), rate)
-        return search(map_state), []
-
-    return map_state, _run_epochs(
-        data, map_state, config.smooth_max_epochs, config.eps2, step, progress
-    )
+        k = self.n_off * np.exp(np.einsum("ed,ed->e", w_gap, w_gap) / self.neg_width2)
+        _pull(r, t_off, r_bins, k, gap.take(off, axis=0), self.rate)
+        self.asg = asg = self.search.assign(w)
+        dist = asg.dist
+        return [(dist[a:b], []) for a, b in self.spans]

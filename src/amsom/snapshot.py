@@ -63,10 +63,12 @@ def export_snapshot_json(
     config: dict | None = None,
     metrics: dict | None = None,
 ) -> None:
+    """Write a map's snapshot as JSON: the bytes ``json.dump(payload,
+    indent=2)`` and a newline give, in one write."""
     payload = snapshot_dict(map_state, labels=labels, config=config, metrics=metrics)
+    text = json.dumps(payload, indent=2) + "\n"
     with _open_output(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _open_output(path):

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+from itertools import groupby
 
 import numpy as np
 import pytest
 
+from amsom import bench
 from amsom.bench import (
     SUMMARY_METRICS,
     ExperimentSpec,
@@ -20,7 +22,7 @@ from amsom.cli import main
 from amsom.core import Dataset
 from amsom.datasets import split_dataset
 from amsom.engine import TrainConfig
-from amsom.errors import ConfigError
+from amsom.errors import ConfigError, TrainingError
 from amsom.metrics import quality_report
 from amsom.snapshot import load_snapshot
 
@@ -301,6 +303,101 @@ def test_failed_run_keeps_the_completed_runs_and_names_itself(blob_csv, tmp_path
     assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["run_00_amsom.json", "run_00_som.json"]
     capsys.readouterr()  # keep the error lines out of the test log
+
+
+def _three_run_spec(blob_csv, out):
+    return ExperimentSpec(
+        dataset=str(blob_csv), runs=3, label_column="label", output_dir=str(out),
+        config=_quick_config(),
+    )
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _count_groups(monkeypatch):
+    sizes = []
+    lockstep = bench.smooth_runs
+
+    def counted(runs):
+        sizes.append(len(runs))
+        return lockstep(runs)
+
+    monkeypatch.setattr(bench, "smooth_runs", counted)
+    return sizes
+
+
+def test_run_experiment_bytes_do_not_depend_on_the_grouping(blob_csv, tmp_path, monkeypatch):
+    sizes = _count_groups(monkeypatch)
+    run_experiment(_three_run_spec(blob_csv, tmp_path / "together"))
+    assert sizes == [3]
+    monkeypatch.setattr(bench, "STAGE_BUDGET", 1)  # every run is a group of its own
+    run_experiment(_three_run_spec(blob_csv, tmp_path / "apart"))
+    assert sizes == [3, 1, 1, 1]
+    together = _files(tmp_path / "together")
+    assert len(together) == 9 and together == _files(tmp_path / "apart")
+
+
+def _failing_run_1(monkeypatch, where):
+    """Make run 1 fail in training (``train`` raises), or in smoothing (its
+    trained map gets a NaN weight, a non-finite error at smoothing epoch 1)."""
+    trained = []
+    train_one = bench.train
+
+    def failing(data, map_state, config, progress=None):
+        result = train_one(data, map_state, config, progress=progress)
+        trained.append(map_state)
+        if len(trained) == 2:
+            if where == "train":
+                raise TrainingError("injected")
+            map_state.weights[0, 0] = np.nan
+        return result
+
+    monkeypatch.setattr(bench, "train", failing)
+
+
+@pytest.mark.parametrize("budget", [1, bench.STAGE_BUDGET])
+@pytest.mark.parametrize("where", ["train", "smooth"])
+def test_a_failing_run_leaves_the_runs_before_it_written(
+    blob_csv, tmp_path, monkeypatch, where, budget
+):
+    run_experiment(_three_run_spec(blob_csv, tmp_path / "whole"))
+    whole = _files(tmp_path / "whole")
+    monkeypatch.setattr(bench, "STAGE_BUDGET", budget)
+    _failing_run_1(monkeypatch, where)
+    out = tmp_path / "failed"
+    with pytest.raises(TrainingError):
+        run_experiment(_three_run_spec(blob_csv, out))
+    files = _files(out)
+    assert sorted(files) == sorted(
+        ["run_00_amsom.json", "run_00_som.json", "runs.csv", "summary.csv", "summary.txt"]
+    )
+    for name in ("run_00_amsom.json", "run_00_som.json"):
+        assert files[name] == whole[name]
+    lines = files["summary.txt"].decode().splitlines()
+    message = "injected" if where == "train" else "non-finite mqe at epoch 1"
+    assert lines[:2] == ["runs: 1", f"FAILED: run 1: {message} (partial results)"]
+
+
+def test_epoch_hook_sees_the_stages_in_order(blob_csv, tmp_path):
+    seen = []
+    spec = dataclasses.replace(_three_run_spec(blob_csv, tmp_path / "out"), runs=2)
+    run_experiment(
+        spec, epoch_hook=lambda ms, report, phase: seen.append((phase, id(ms), report.epoch))
+    )
+    trained = [key for key, _ in groupby((phase, m) for phase, m, _ in seen if phase == "train")]
+    smoothed = [(m, epoch) for phase, m, epoch in seen if phase == "smooth"]
+    runs = [m for _, m in trained]
+    # train run by run, then smoothing epoch by epoch, then each baseline
+    assert [phase for phase, _ in groupby(phase for phase, _, _ in seen)] == [
+        "train", "smooth", "baseline"
+    ]
+    assert len(runs) == 2
+    assert smoothed == sorted(smoothed, key=lambda pair: (pair[1], runs.index(pair[0])))
+    assert {m for m, _ in smoothed} == set(runs)
+    baselines = [key for key, _ in groupby(m for phase, m, _ in seen if phase == "baseline")]
+    assert len(baselines) == 2 and not set(baselines) & set(runs)
 
 
 def test_run_single_returns_one_record_per_map(blob_csv):

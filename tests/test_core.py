@@ -461,6 +461,144 @@ def test_pruned_search_bound_after_an_overflowing_distance():
     assert asg.second[0] == 2
 
 
+def _check_runs_against_assign_all(asg, patterns, weights):
+    """Each run's rows of ``asg`` hold what ``assign_all`` of that run alone
+    gives, with neuron indices counted over all runs."""
+    start = 0
+    rows = 0
+    for p, w in zip(patterns, weights):
+        fresh = assign_all(Dataset(p), make_map(w))
+        part = slice(rows, rows + len(p))
+        assert np.array_equal(asg.winner[part], fresh.winner + start)
+        assert np.array_equal(asg.second[part], fresh.second + start)
+        assert asg.dist[part].tobytes() == fresh.dist.tobytes()
+        start, rows = start + len(w), rows + len(p)
+
+
+def _spy_run_routes(monkeypatch):
+    """Count the searches again of rows of several runs: padded (one call
+    for all runs) and per run."""
+    routes = Counter()
+    block, per_run = core._exact_block, core._search_run
+
+    def spy_block(patterns, weights):
+        routes["padded"] += weights.ndim == 3
+        return block(patterns, weights)
+
+    def spy_run(patterns, weights, tol):
+        routes["run"] += 1
+        return per_run(patterns, weights, tol)
+
+    monkeypatch.setattr(core, "_exact_block", spy_block)
+    monkeypatch.setattr(core, "_search_run", spy_run)
+    return routes
+
+
+def test_pruned_search_over_runs_equals_assign_all_per_run(monkeypatch):
+    # Each run's rows also carry the bounds and pairs that run's own
+    # PrunedSearch gives them, bit for bit: its movement and tol, not another
+    # run's. Every run here has n * m * d <= EXACT_ROUTE, so alone it takes
+    # the brute-force route, as its rows do in the padded call; with
+    # EXACT_ROUTE at 0 every search again goes per run to the GEMM search.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    routes = _spy_run_routes(monkeypatch)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(2, 40), st.floats(-8, -1)),
+            min_size=1,
+            max_size=4,
+        ),
+        d=st.integers(1, 6),
+        offsets=st.lists(st.sampled_from([0.0, 1e4]), min_size=4, max_size=4),
+        jumps=st.lists(st.integers(1, 9), max_size=3),
+        exact_route=st.sampled_from([core.EXACT_ROUTE, 0]),
+    )
+    def check(seed, shapes, d, offsets, jumps, exact_route):
+        # the runs share one region unless their offsets differ, so a row
+        # searched among other runs' neurons would find closer ones; each
+        # run moves at its own pace
+        monkeypatch.setattr(core, "EXACT_ROUTE", exact_route)
+        rng = np.random.default_rng(seed)
+        patterns = [rng.normal(size=(n, d)) + c for (n, _, _), c in zip(shapes, offsets)]
+        weights = [rng.normal(size=(m, d)) + c for (_, m, _), c in zip(shapes, offsets)]
+        search = PrunedSearch(
+            Dataset(np.concatenate(patterns)), [(n, m) for n, m, _ in shapes]
+        )
+        alone = [PrunedSearch(Dataset(p)) for p in patterns]
+        for t in range(10):
+            if t:
+                weights = [
+                    w + rng.normal(size=w.shape) * 10.0**log_step
+                    for w, (_, _, log_step) in zip(weights, shapes)
+                ]
+            if t in jumps:
+                i = rng.integers(0, len(weights))
+                weights[i][rng.integers(0, len(weights[i]))] = rng.normal(size=d) * 2.0 + offsets[i]
+            asg = search.assign(np.concatenate(weights))
+            assert asg.m == sum(len(w) for w in weights)
+            _check_runs_against_assign_all(asg, patterns, weights)
+            start = rows = 0
+            for own, p, w in zip(alone, patterns, weights):
+                own.assign(w)
+                part = slice(rows, rows + len(p))
+                assert search.bound[part].tobytes() == own.bound.tobytes()
+                assert np.array_equal(search.pair[part], own.pair + start)
+                start, rows = start + len(w), rows + len(p)
+
+    check()
+    assert routes["padded"] > 0 and routes["run"] > 0
+
+
+def test_pruned_search_over_runs_lowers_each_runs_bounds_by_its_own_movement():
+    # run 0 stands still; in run 1 neuron 2 jumps next to the pattern, which
+    # only run 1's movement can show
+    patterns = [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])]
+    weights = [
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 9.0]]),
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 9.0]]),
+    ]
+    search = PrunedSearch(Dataset(np.concatenate(patterns)), [(1, 3), (1, 3)])
+    search.assign(np.concatenate(weights))
+    weights[1] = weights[1].copy()
+    weights[1][2] = [0.0, 0.5]
+    asg = search.assign(np.concatenate(weights))
+    _check_runs_against_assign_all(asg, patterns, weights)
+    assert asg.winner[1] == 3 + 2
+
+
+def test_pruned_search_over_runs_allows_for_each_runs_score_error(monkeypatch):
+    # ``test_pruned_search_bounds_allow_for_the_score_error`` as the second
+    # of two runs, after a run near the origin whose tol is far smaller
+    monkeypatch.setattr(core, "EXACT_ROUTE", 0)  # every row takes the GEMM route
+    rng = np.random.default_rng(4)
+    e0, e1 = np.eye(2)
+    far = np.sqrt(0.25 + 0.045)
+    behind = np.sqrt((far - 0.03) ** 2 + 1e-7)
+    near = np.vstack([0.3 * e0, -0.5 * e0, far * e1, -10 * e1])
+    for _ in range(16):
+        c = rng.uniform(6e5, 1e6, size=2)
+        patterns = [np.zeros((1, 2)), c[None, :]]
+        search = PrunedSearch(Dataset(np.concatenate(patterns)), [(1, 4), (1, 4)])
+        weights = [near, c + near]
+        assert search.assign(np.concatenate(weights)).second[1] == 4 + 1
+        weights = [near, c + np.vstack([0.3 * e0, -behind * e0, (far - 0.03) * e1, -10 * e1])]
+        asg = search.assign(np.concatenate(weights))
+        assert asg.second[1] == 4 + 2
+        _check_runs_against_assign_all(asg, patterns, weights)
+
+
+def test_pruned_search_over_runs_input_checks():
+    data = Dataset(np.zeros((4, 2)))
+    with pytest.raises(DataError, match="runs hold 3 rows"):
+        PrunedSearch(data, [(1, 2), (2, 2)])
+    with pytest.raises(MapStructureError):
+        PrunedSearch(data, [(2, 2), (2, 1)])
+
+
 def test_assign_all_memory_is_bounded_by_the_chunk(monkeypatch):
     # the brute-force search would need an n*m*d temporary of 1.8 GB here
     rng = np.random.default_rng(2)

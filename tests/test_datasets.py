@@ -181,3 +181,148 @@ def test_split_fractions_must_be_finite():
         with pytest.raises(ConfigError, match="finite"):
             split_dataset(Dataset(np.arange(20.0).reshape(10, 2)), bad, seed=0)
     assert check_split_fractions(["0.6", 0.2, 0.2]) == (0.6, 0.2, 0.2)
+
+
+def _load_csv_cell_by_cell(path, label_column=None):
+    """``load_csv`` as it read every cell before its one-float()-per-cell
+    fast path: strip, missing-token test and float() for each cell."""
+    import csv
+    from pathlib import Path
+
+    from amsom.datasets import MISSING_TOKENS, _holds_integer_label, _is_float
+
+    path = Path(path)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows, lineno = [], 1
+            for row in reader:
+                rows.append((lineno, row))
+                lineno = reader.line_num + 1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = [(lineno, row) for lineno, row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    header = None
+    first = [cell.strip() for cell in rows[0][1]]
+    if not any(_is_float(cell) for cell in first):
+        header = first
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: header but no data rows")
+    width = len(rows[0][1])
+    if isinstance(label_column, str):
+        if header is None:
+            raise ConfigError(f"{path}: label column {label_column!r} needs a header row")
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ConfigError(f"{path}: no column named {label_column!r}") from None
+    elif label_column is None:
+        label_idx = None
+    else:
+        label_idx = int(label_column)
+        if label_idx < 0:
+            label_idx += width
+        if not 0 <= label_idx < width:
+            raise ConfigError(f"label column {label_column} out of range for {width} columns")
+    patterns, raw_labels = [], []
+    for lineno, row in rows:
+        if len(row) != width:
+            raise DataError(f"{path}: line {lineno}: expected {width} cells, got {len(row)}")
+        cells = [cell.strip() for cell in row]
+        if any(cell.lower() in MISSING_TOKENS for cell in cells):
+            continue
+        features = []
+        for col, cell in enumerate(cells):
+            if col == label_idx:
+                continue
+            try:
+                features.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: unparseable value {cell!r}") from None
+        patterns.append(features)
+        if label_idx is not None:
+            raw_labels.append(cells[label_idx])
+    if not patterns:
+        raise DataError(f"{path}: all rows were skipped")
+    labels = None
+    if label_idx is not None:
+        if all(_holds_integer_label(cell) for cell in raw_labels):
+            labels = np.array([int(float(cell)) for cell in raw_labels], dtype=np.int64)
+        else:
+            mapping = {value: i for i, value in enumerate(sorted(set(raw_labels)))}
+            labels = np.array([mapping[cell] for cell in raw_labels], dtype=np.int64)
+    return Dataset(np.asarray(patterns, dtype=np.float64), labels)
+
+
+_NUMBERS = ["0", "1.5", "-2.25e-3", "7", " 3.5 ", "\t4\t", '"1\n"', "1_0", "inf", "-inf", "1e999"]
+_ODD = ["", " ", '""', "na", "NA", "nan", "NaN", " nan ", "-nan", "+nan", "?", "x1", "1,5", '"2\n3"']
+_LABELS = ["0", "1", " 2 ", "3.0", "1.5", "setosa", "b", "inf", "", "na", "?", "NaN", '"a\nb"']
+
+
+def _csv_cell(text):
+    # a cell holding a comma, quote or line break is quoted, the break kept
+    if text.startswith('"') and text.endswith('"') and len(text) > 1:
+        return text
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def test_load_csv_matches_the_cell_by_cell_reader_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "random.csv"
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        features=st.integers(1, 4),
+        label_at=st.one_of(st.none(), st.integers(0, 4)),
+        header=st.booleans(),
+        by_name=st.booleans(),
+        records=st.lists(
+            st.tuples(
+                st.lists(st.one_of(st.sampled_from(_NUMBERS), st.sampled_from(_ODD)),
+                         min_size=4, max_size=4),
+                st.sampled_from(_LABELS),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(0, 7),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        blank_lines=st.lists(st.integers(0, 8), max_size=2),
+    )
+    def check(features, label_at, header, by_name, records, blank_lines):
+        label_at = None if label_at is None else min(label_at, features)
+        width = features + (label_at is not None)
+        lines = []
+        if header:
+            lines.append(",".join(f"c{j}" for j in range(width)))
+        for cells, label, number, shape in records:
+            row = [repr(number) if shape == 0 else cell for cell in cells[:features]]
+            if label_at is not None:
+                row.insert(label_at, label)
+            if shape == 7:
+                row = row[:-1] or ["1", "2"]  # a record of another width
+            lines.append(",".join(_csv_cell(cell) for cell in row))
+        for at in blank_lines:
+            lines.insert(min(at, len(lines)), "")
+        path.write_text("\n".join(lines) + "\n")
+        column = label_at
+        if label_at is not None and by_name and header:
+            column = f"c{label_at}"
+        outcomes = []
+        for loader in (load_csv, _load_csv_cell_by_cell):
+            try:
+                data = loader(path, label_column=column)
+            except Exception as exc:  # noqa: BLE001 - the two must fail alike
+                outcomes.append((type(exc), str(exc)))
+            else:
+                labels = None if data.labels is None else data.labels.tolist()
+                outcomes.append((data.patterns.shape, data.patterns.tobytes(), labels))
+        assert outcomes[0] == outcomes[1]
+
+    check()

@@ -34,9 +34,10 @@ from amsom.engine import (
     process_pattern_edges,
     prune_edges_and_neurons,
     smooth,
+    smooth_runs,
     train,
 )
-from amsom.errors import ConfigError, DataError, MapStructureError
+from amsom.errors import ConfigError, DataError, MapStructureError, TrainingError
 from amsom.grid import (
     HEXAGONAL,
     RECTANGULAR,
@@ -476,8 +477,10 @@ def _smooth_by_the_epoch_formula(data, ms, cfg):
     sigma = _cell_width_sigma(ms, cfg)
     search = PrunedSearch(data)
     starts = []
+    asg = assign_all(data, ms)
 
-    def step(epoch, asg):
+    def step(epoch, live):
+        nonlocal asg
         starts.append(asg.winner)
         n = asg.wins.astype(np.float64)
         w, r = ms.weights, ms.positions
@@ -486,9 +489,10 @@ def _smooth_by_the_epoch_formula(data, ms, cfg):
         )
         width2 = cfg.gamma * sigma * sigma
         ms.positions = _edge_step(pairs, n, ms.weights, width2, r, r, cfg.alpha_smooth)
-        return search(ms), []
+        asg = search(ms)
+        return [(asg.dist, [])]
 
-    reports = _run_epochs(data, ms, cfg.smooth_max_epochs, cfg.eps2, step, None)
+    (reports,) = _run_epochs([(cfg.smooth_max_epochs, cfg.eps2, None)], step)
     return ms, reports, starts
 
 
@@ -561,6 +565,157 @@ def test_smooth_recomputes_winner_means_only_when_the_winners_change(iris, monke
     monkeypatch.setattr(engine, "winner_means", counted)
     smooth(iris, ms.copy(), cfg)
     assert len(calls) == 1 + _winner_changes(starts) < len(starts)
+
+
+# ------------------------------------------------------------- lockstep smoothing
+
+
+def _random_smoothing_run(seed, n, m, *, dead=False, **config):
+    """A map of m neurons with random weights, positions and edges over n
+    patterns in the same region as every other such run's. With ``dead``,
+    one more neuron sits far from the data with no edges: it wins nothing,
+    so both of its kernel sums are zero."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    edges = np.triu(rng.random((m, m)) < 0.4, 1)
+    weights, positions = rng.normal(size=(m, d)), rng.normal(size=(m, 2))
+    if dead:
+        weights = np.vstack([weights, np.full((1, d), 100.0)])
+        positions = np.vstack([positions, [[5.0, 5.0]]])
+        edges = np.pad(edges, ((0, 1), (0, 1)))
+    ms = make_map(weights, positions=positions)
+    ms.edges = edges | edges.T
+    cfg = TrainConfig(**{"alpha_smooth": 0.2, "smooth_max_epochs": 30, **config})
+    return Dataset(rng.normal(size=(n, d))), ms, cfg
+
+
+def _smooth_separately_and_in_lockstep(runs):
+    """Bit for bit: every run's reports (epoch, error, events), its final
+    weights and positions, whether smoothed alone or in lockstep. Returns the
+    lockstep maps and the (run, epoch) order in which the hooks saw them."""
+    alone = [smooth(data, ms.copy(), cfg) for data, ms, cfg in runs]
+    seen = []
+
+    def hook(i):
+        return lambda report: seen.append((i, report.epoch))
+
+    maps = [ms.copy() for _, ms, _ in runs]
+    together = smooth_runs(
+        [(data, ms, cfg, hook(i)) for i, ((data, _, cfg), ms) in enumerate(zip(runs, maps))]
+    )
+    assert len(together) == len(runs)
+    for (want, want_reports), got, reports in zip(alone, maps, together):
+        assert [(r.epoch, r.mqe, r.events) for r in reports] == [
+            (r.epoch, r.mqe, r.events) for r in want_reports
+        ]
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.positions.tobytes() == want.positions.tobytes()
+    # each run's last error is that of its final map
+    for (data, _, _), got, reports in zip(runs, maps, together):
+        assert reports[-1].mqe == mean_quantization_error(assign_all(data, got))
+    # epoch by epoch, the runs in order within an epoch
+    assert seen == sorted(seen, key=lambda pair: (pair[1], pair[0]))
+    assert sorted(seen) == [(i, r.epoch) for i, (_, rs) in enumerate(alone) for r in rs]
+    return maps, alone
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_smooth_runs_matches_separate_smooth_calls(count):
+    # runs of different n and m, rates, widths and caps; the second stops
+    # on eps2 after two epochs, the last has a dead neuron
+    shapes = [(40, 9), (25, 6), (60, 14), (12, 3), (33, 11)][:count]
+    runs = []
+    for i, (n, m) in enumerate(shapes):
+        config = {
+            "alpha_smooth": (0.2, 0.05, 0.3, 0.2, 0.1)[i],
+            "gamma": (4.0, 4.0, 2.0, 4.0, 4.0)[i],
+            "smooth_max_epochs": (30, 30, 45, 20, 25)[i],
+        }
+        if i == 1:
+            config.update(eps1=0.9, eps2=0.5)
+        runs.append(_random_smoothing_run(10 + i, n, m, dead=i == count - 1, **config))
+    maps, alone = _smooth_separately_and_in_lockstep(runs)
+    epochs = [len(reports) for _, reports in alone]
+    if count > 1:
+        assert epochs[1] == 2 and max(epochs) > 2
+    # the dead neuron kept its weight and position
+    assert np.array_equal(maps[-1].weights[-1], runs[-1][1].weights[-1])
+    assert np.array_equal(maps[-1].positions[-1], runs[-1][1].positions[-1])
+
+
+def test_smooth_runs_matches_separate_smooth_calls_on_trained_maps(iris):
+    # five trained iris maps, as a protocol smooths them, with three caps
+    runs = []
+    for seed, cap in zip(range(5), (40, 25, 40, 60, 25)):
+        cfg = TrainConfig(seed=seed, max_epochs=12, sigma_decay_epochs=8)
+        ms, cfg = create_initial_map(iris, cfg)
+        train(iris, ms, cfg)
+        runs.append((iris, ms, replace(cfg, alpha_smooth=0.01, smooth_max_epochs=cap)))
+    _smooth_separately_and_in_lockstep(runs)
+
+
+def test_smooth_runs_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(2, 12)), min_size=1, max_size=4),
+        caps=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+        alpha=st.floats(0.01, 0.9),
+    )
+    def check(seed, shapes, caps, alpha):
+        runs = [
+            _random_smoothing_run(seed + i, n, m, alpha_smooth=alpha, smooth_max_epochs=cap)
+            for i, ((n, m), cap) in enumerate(zip(shapes, caps))
+        ]
+        _smooth_separately_and_in_lockstep(runs)
+
+    check()
+
+
+def test_smooth_runs_failure_stops_that_run_and_the_later_ones():
+    runs = [_random_smoothing_run(20 + i, 30, 8) for i in range(3)]
+    runs[1][1].weights[0, 0] = np.nan  # a non-finite error at epoch 1
+    want, want_reports = smooth(runs[0][0], runs[0][1].copy(), runs[0][2])
+    with pytest.raises(TrainingError, match="non-finite mqe at epoch 1") as alone:
+        smooth(runs[1][0], runs[1][1].copy(), runs[1][2])
+    assert alone.value.run == 0
+    maps = [ms.copy() for _, ms, _ in runs]
+    seen = []
+    with pytest.raises(TrainingError, match="non-finite mqe at epoch 1") as caught:
+        smooth_runs(
+            [(data, ms, cfg, lambda report, i=i: seen.append(i))
+             for i, ((data, _, cfg), ms) in enumerate(zip(runs, maps))]
+        )
+    assert caught.value.run == 1
+    # the run before it finished as it does alone; none after it reported
+    assert maps[0].weights.tobytes() == want.weights.tobytes()
+    assert seen == [0] * len(want_reports)
+
+    # a hook that raises stops its run the same way
+    def failing(report):
+        raise ValueError("hook")
+
+    runs[1][1].weights[0, 0] = 0.0
+    maps = [ms.copy() for _, ms, _ in runs]
+    with pytest.raises(ValueError, match="hook") as caught:
+        smooth_runs([(runs[0][0], maps[0], runs[0][2], None),
+                     (runs[1][0], maps[1], runs[1][2], failing),
+                     (runs[2][0], maps[2], runs[2][2], None)])
+    assert caught.value.run == 1
+    assert maps[0].weights.tobytes() == want.weights.tobytes()
+
+
+def test_smooth_runs_input_checks(iris):
+    assert smooth_runs([]) == []
+    data, ms, cfg = _random_smoothing_run(1, 10, 4)
+    with pytest.raises(MapStructureError):
+        smooth_runs([(data, ms, cfg, None), (data, make_map([[0.0, 0.0, 0.0]]), cfg, None)])
+    other = Dataset(np.zeros((5, 2)))
+    with pytest.raises(DataError, match="one input dimension"):
+        smooth_runs([(data, ms, cfg, None), (other, make_map(np.eye(2)), cfg, None)])
 
 
 # ------------------------------------------------------------- edge bookkeeping

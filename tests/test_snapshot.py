@@ -69,6 +69,25 @@ def test_snapshot_file_shape(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "extras",
+    [
+        {"labels": [0, None, 2, 1, 1, None, 0, 2, 1]},
+        {"labels": None},
+        {"labels": [1] * 9, "config": {"seed": 2, "sigma0": None, "topology": "rectangular"},
+         "metrics": {"qe_train": 0.1 + 0.2, "neurons": 9, "te_test": 1e-300}},
+    ],
+)
+def test_snapshot_file_holds_the_bytes_json_dump_writes(tmp_path, extras):
+    ms = _trained_map()
+    path = tmp_path / "map.json"
+    export_snapshot_json(ms, path, **extras)
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump(snapshot_dict(ms, **extras), fh, indent=2)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 def test_snapshot_version_guard(tmp_path):
     ms = make_map([[1.0], [2.0]])
     path = tmp_path / "map.json"

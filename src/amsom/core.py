@@ -112,8 +112,10 @@ class MapState:
         keep[indices] = False
         self.weights = self.weights[keep]
         self.positions = self.positions[keep]
-        self.edges = self.edges[np.ix_(keep, keep)]
-        self.ages = self.ages[np.ix_(keep, keep)]
+        # columns, then rows: far faster than np.ix_, and C-ordered (rows,
+        # then columns, would give F order, which slows every flat scan)
+        self.edges = self.edges[:, keep][keep]
+        self.ages = self.ages[:, keep][keep]
         self.win_count = self.win_count[keep]
 
     def validate(self, q_max: int | None = None, allow_isolated: bool = True) -> None:

@@ -65,9 +65,10 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     counts from the end) or by header name. Rows with missing values (empty
     cells, NA, ?) are skipped and counted; any other unparseable cell is a
     hard error reported with the first physical line of its record (a quoted
-    cell may span lines). Labels that are all integers
-    pass through; otherwise (names, fractions, inf, or integers beyond int64)
-    every distinct label string is mapped to an integer id by sorted value.
+    cell may span lines), as is a header row whose width differs from the
+    data rows'. Labels that are all integers pass through; otherwise (names,
+    fractions, inf, or integers beyond int64) every distinct label string is
+    mapped to an integer id by sorted value.
 
     A file that cannot be read or decoded raises DataError. A label column
     that does not exist (index out of range, unknown name, or a name without
@@ -88,7 +89,7 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
         raise DataError(f"{path}: no data rows")
 
     header = None
-    first = [cell.strip() for cell in rows[0][1]]
+    header_line, first = rows[0][0], [cell.strip() for cell in rows[0][1]]
     if not any(_is_float(cell) for cell in first):
         header = first
         rows = rows[1:]
@@ -96,6 +97,10 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
             raise DataError(f"{path}: header but no data rows")
 
     width = len(rows[0][1])
+    if header is not None and len(header) != width:
+        raise DataError(
+            f"{path}: line {header_line}: header has {len(header)} cells, the data rows {width}"
+        )
     if isinstance(label_column, str):
         if header is None:
             raise ConfigError(f"{path}: label column {label_column!r} needs a header row")

@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CHUNK,
     Assignment,
     Dataset,
     MapState,
     PrunedSearch,
+    _exact_block,
+    _in_blocks,
     _mean_root,
+    _search,
     assign_all,
     per_neuron_quantization,
     winner_means,
@@ -291,37 +295,45 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
     Presents the patterns of ``asg`` (an assignment to this map) in order.
     Exactly reproduces the sequential presentation-order result: an edge that
     is never refreshed ages by the total wins of its endpoints; a refreshed
-    edge ends with the wins of its endpoints after its last refresh.
+    edge ends with the wins of its endpoints after its last refresh. The
+    edges are found by one flat scan of the adjacency matrix; the rest works
+    on their index pairs and on the patterns' pairs.
     """
     m = map_state.m
+    edges, ages = map_state.edges, map_state.ages
     winners, seconds, wins = asg.winner, asg.second, asg.wins
     n = len(winners)
+    order = np.arange(n)
 
-    inc = wins[:, None] + wins[None, :]
-    map_state.ages[map_state.edges] += inc[map_state.edges]
+    flat, i, j = _edge_entries(map_state)
+    ages.put(flat, ages.take(flat) + (wins.take(i) + wins.take(j)))
 
-    # last refresh of each pair: first hit in the reversed presentation order
+    # last refresh of each pair: the last of its (pair, pattern) keys in order
     code = np.minimum(winners, seconds) * m + np.maximum(winners, seconds)
-    pair_code, first_from_end = np.unique(code[::-1], return_index=True)
-    when = n - 1 - first_from_end
-    a, b = pair_code // m, pair_code % m
+    keys = np.sort(code * n + order)
+    code = keys // n
+    last = np.append((code[1:] != code[:-1]).nonzero()[0], n - 1)
+    pair_code = code.take(last)
+    when = keys.take(last) - pair_code * n
+    a, b = np.divmod(pair_code, m)
     # keys order the wins by (neuron, pattern): neuron x's wins after pattern
     # `when` are its keys above x*n + when, which end at index wins_end[x]
-    keys = np.sort(winners * n + np.arange(n))
+    keys = np.sort(winners * n + order)
     wins_end = np.cumsum(wins)
-    after = (wins_end[a] - np.searchsorted(keys, a * n + when, side="right")) + (
-        wins_end[b] - np.searchsorted(keys, b * n + when, side="right")
-    )
-    map_state.edges[a, b] = map_state.edges[b, a] = True
-    map_state.ages[a, b] = after
-    map_state.ages[b, a] = after
+    ends = np.concatenate([a, b])
+    left = wins_end.take(ends) - np.searchsorted(keys, ends * n + np.tile(when, 2), side="right")
+    after = left[: a.size] + left[a.size :]
+    edges[a, b] = edges[b, a] = True
+    ages[a, b] = after
+    ages[b, a] = after
 
     map_state.win_count += wins
 
 
-def _remove_isolated(map_state: MapState) -> list:
-    """Drop neurons with no edges, in ascending index order, keeping m >= 2."""
-    isolated = (map_state.degrees() == 0).nonzero()[0]
+def _remove_isolated(map_state: MapState, degrees=None) -> list:
+    """Drop neurons with no edges, in ascending index order, keeping m >= 2;
+    ``degrees`` are the map's degrees if the caller counted them."""
+    isolated = ((map_state.degrees() if degrees is None else degrees) == 0).nonzero()[0]
     if isolated.size == 0:
         return []
     allowed = max(0, map_state.m - 2)
@@ -334,19 +346,33 @@ def _remove_isolated(map_state: MapState) -> list:
     return events
 
 
+def _edge_entries(map_state: MapState):
+    """Every edge of the map from one flat scan of its adjacency matrix:
+    the flat index of each (row, column) entry in row-major order, its row
+    and its column. Both entries of an edge are listed."""
+    flat = np.flatnonzero(map_state.edges)
+    return (flat, *np.divmod(flat, map_state.m))
+
+
+def _cut(map_state: MapState, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Remove the edges (rows[k], cols[k]) in both directions, ages to zero."""
+    flat = np.concatenate([rows * map_state.m + cols, cols * map_state.m + rows])
+    map_state.edges.put(flat, False)
+    map_state.ages.put(flat, 0)
+
+
 def prune_edges_and_neurons(map_state: MapState, age_max: int) -> list:
     """Cut edges at or past the age cutoff, then drop isolated neurons."""
-    aged = map_state.edges & (map_state.ages >= age_max)
-    rows, cols = aged.nonzero()
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
+    flat, rows, cols = _edge_entries(map_state)
+    ages = map_state.ages.take(flat)
+    aged = ages >= age_max
+    upper = (aged & (rows < cols)).nonzero()[0]
     events = [
         {"kind": "edge_aged_out", "edge": (a, b), "age": age}
-        for a, b, age in zip(rows.tolist(), cols.tolist(), map_state.ages[rows, cols].tolist())
+        for a, b, age in zip(rows[upper].tolist(), cols[upper].tolist(), ages[upper].tolist())
     ]
-    map_state.edges[aged] = False
-    map_state.ages[aged] = 0
-    events += _remove_isolated(map_state)
+    _cut(map_state, rows[upper], cols[upper])
+    events += _remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
     return events
 
 
@@ -424,24 +450,43 @@ def enforce_degree(map_state: MapState, q: int) -> list:
 
     Neurons are processed in ascending index order; within a neuron, edges
     are ranked by age then peer index, and everything past the q best is cut.
+    Trimming only lowers degrees, so only neurons over the cap at entry can
+    need it, and no age changes on the edges that remain: one ``lexsort``
+    ranks every such neuron's edges as they stand at entry, and each neuron
+    in turn skips the peers that cut their edge to it earlier, then cuts
+    the rest past its q best. All cuts are written at the end.
     """
-    events = []
-    # trimming only lowers degrees, so only neurons over the cap at entry can
-    # need it; each one's degree is read again when its turn comes
-    for i in (map_state.degrees() > q).nonzero()[0].tolist():
-        nbrs = map_state.edges[i].nonzero()[0]
-        if nbrs.size <= q:
-            continue
-        order = np.lexsort((nbrs, map_state.ages[i, nbrs]))
-        drop = nbrs[order[q:]]
-        for j in drop.tolist():
-            a, b = (i, j) if i < j else (j, i)
-            events.append({"kind": "edge_trimmed", "edge": (a, b), "neuron": i})
-        map_state.edges[i, drop] = False
-        map_state.edges[drop, i] = False
-        map_state.ages[i, drop] = 0
-        map_state.ages[drop, i] = 0
-    events += _remove_isolated(map_state)
+    m = map_state.m
+    flat, rows, cols = _edge_entries(map_state)
+    degrees = np.bincount(rows, minlength=m)
+    heavy = (degrees > q).nonzero()[0]
+    if heavy.size == 0:
+        return _remove_isolated(map_state, degrees)
+    over = degrees.take(rows) > q
+    rows, cols, flat = rows[over], cols[over], flat[over]
+    # each heavy neuron's peers, in ascending neuron order, best first
+    peers = cols.take(np.lexsort((cols, map_state.ages.take(flat), rows))).tolist()
+    cut_i, cut_j = [], []  # neuron i cut its edge to peer j
+    lost = {}  # each neuron's peers that cut their edge to it
+    start = 0
+    for i, degree in zip(heavy.tolist(), degrees.take(heavy).tolist()):
+        ranked = peers[start : start + degree]
+        start += degree
+        if i in lost:
+            ranked = [j for j in ranked if j not in lost[i]]
+        for j in ranked[q:]:
+            lost.setdefault(j, []).append(i)
+            cut_i.append(i)
+            cut_j.append(j)
+    events = [
+        {"kind": "edge_trimmed", "edge": (i, j) if i < j else (j, i), "neuron": i}
+        for i, j in zip(cut_i, cut_j)
+    ]
+    if events:
+        cut_i, cut_j = np.array(cut_i), np.array(cut_j)
+        _cut(map_state, cut_i, cut_j)
+        degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
+    events += _remove_isolated(map_state, degrees)
     return events
 
 
@@ -481,14 +526,24 @@ def _cell_width_sigma(map_state: MapState, config: TrainConfig) -> float:
     median edge length. Returns that width capped at sigma_final; on a rigid
     unit lattice this is sigma_final exactly.
     """
-    i, j = np.nonzero(np.triu(map_state.edges, 1))
+    _, i, j = _edge_entries(map_state)
+    i, j = i[i < j], j[i < j]
     if i.size == 0:
         return float(config.sigma_final)
     gaps = map_state.positions[i] - map_state.positions[j]
-    width = float(np.median(np.sqrt(np.einsum("ed,ed->e", gaps, gaps))))
+    width = float(_median(np.sqrt(np.einsum("ed,ed->e", gaps, gaps))))
     if width <= 0.0:
         return float(config.sigma_final)
     return min(float(config.sigma_final), width)
+
+
+def _median(values: np.ndarray):
+    """``np.median`` of a non-empty 1-D array free of NaN, bit for bit: the
+    middle value, or the mean of the middle two, of the sorted values. It
+    does not import ``numpy.ma`` as ``np.median`` does on its first call."""
+    ordered = np.sort(values)
+    k = ordered.size // 2
+    return ordered[k] if ordered.size % 2 else (ordered[k - 1] + ordered[k]) / 2.0
 
 
 class _SigmaSchedule:
@@ -582,6 +637,50 @@ def _run_epochs(runs, step):
     return reports
 
 
+def _after_split_and_removals(data: Dataset, map_state: MapState, asg: Assignment, events):
+    """``assign_all(data, map_state)``, bit for bit, from ``asg``, the
+    assignment of the map before ``events``: at most one split, then the
+    removal of neurons, indices as they stood after the split.
+
+    No other neuron moved. So a row whose winner and runner-up are neither
+    removed nor the split parent keeps them as its two best among the
+    unchanged neurons, their indices shifted past the removed ones, and its
+    new pair is the best two of those and the neurons with new weights (the
+    parent and its offspring, if kept), by brute-force (distance, index).
+    Every other row is searched again against the whole map.
+    """
+    split = [e["parent"] for e in events if e["kind"] == "neuron_split"]
+    removed = [e["neuron"] for e in events if e["kind"] == "neuron_removed"]
+    if not split and not removed:
+        return asg
+    index = np.full(asg.m + len(split), -1)
+    kept = np.ones(index.size, dtype=bool)
+    kept[removed] = False
+    index[kept] = np.arange(map_state.m)
+    fresh = index[split + [asg.m] * len(split)]
+    fresh = fresh[fresh >= 0]
+    index[split] = -1
+    winner, second = index.take(asg.winner), index.take(asg.second)
+    dist = asg.dist.copy()
+    stale = (winner < 0) | (second < 0)
+    patterns, weights = data.patterns, map_state.weights
+    if fresh.size:
+        rows = (~stale).nonzero()[0]
+        cand = np.column_stack([winner[rows], second[rows], np.tile(fresh, (rows.size, 1))])
+        cand.sort(axis=1)
+        best, runner, dist[rows], _ = _in_blocks(
+            lambda p, c: _exact_block(p, weights.take(c, axis=0)),
+            (patterns[rows], cand),
+            max(1, CHUNK // (cand.shape[1] * map_state.d)),
+        )
+        winner[rows] = np.take_along_axis(cand, best[:, None], axis=1)[:, 0]
+        second[rows] = np.take_along_axis(cand, runner[:, None], axis=1)[:, 0]
+    redo = stale.nonzero()[0]
+    if redo.size:
+        winner[redo], second[redo], dist[redo], _ = _search(patterns[redo], weights)
+    return Assignment(winner, second, dist, map_state.m)
+
+
 def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
     """Run the structural training phase until the error settles.
 
@@ -629,8 +728,7 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
         degree_events = enforce_degree(map_state, q)
         events += degree_events
 
-        if split_events or any(e["kind"] == "neuron_removed" for e in degree_events):
-            asg = assign_all(data, map_state)
+        asg = _after_split_and_removals(data, map_state, asg, split_events + degree_events)
         return [(asg.dist, events)]
 
     (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,6 +554,12 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
             "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
     assert main(args) == 0
 
+    # a header row of another width than the data rows is a data error
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("a,b,c\n1,2\n3,4\n")
+    assert main(["train", str(narrow), "--label-column", "c", "--out", str(out)]) == 2
+    assert "line 1: header has 3 cells" in capsys.readouterr().err
+
     # an input that cannot be read or decoded is a data error, whatever the reason
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(blob_csv.read_bytes().replace(b"x,y", b"x,\xe9"))
@@ -628,3 +638,24 @@ def test_cli_label_column_none_means_no_labels(blob_csv, tmp_path):
     _, payload = load_snapshot(out)
     assert payload["neuron_labels"] is not None
     assert len(payload["weights"][0]) == 2
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs every process that imports it over 10 ms and about 1 MB;
+    # np.median imports it, so no step of a run may call it
+    script = f"""
+import sys
+from amsom.bench import ExperimentSpec, run_experiment
+from amsom.cli import main
+from amsom.engine import TrainConfig
+iris = {str(IRIS_CSV)!r}
+out = {str(tmp_path)!r}
+assert main(["train", iris, "--label-column", "species", "--set", "smooth_max_epochs=20",
+             "--out", out + "/map.json"]) == 0
+run_experiment(ExperimentSpec(dataset=iris, runs=1, label_column="species", output_dir=out + "/bench",
+                              config=TrainConfig(smooth_max_epochs=20)))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -87,6 +87,16 @@ def test_load_csv_numbers_errors_by_physical_line(tmp_path):
         load_csv(_write(tmp_path, '1,2\n"3\n",4\n\n6,oops\n'))
 
 
+def test_load_csv_header_of_another_width_is_a_data_error(tmp_path):
+    # a header wider or narrower than the data rows, with or without a label
+    # column that only the header holds, names the header's line
+    for text in ("a,b,c\n1,2\n3,4\n", "a\n1,2\n3,4\n", "\na,b,c\n1,2\n"):
+        line = 2 if text.startswith("\n") else 1
+        for column in (None, "c", "a", 0):
+            with pytest.raises(DataError, match=f"line {line}: header has"):
+                load_csv(_write(tmp_path, text), label_column=column)
+
+
 def test_load_csv_missing_label_column_is_a_config_error(tmp_path):
     # another column argument fixes each of these, so none is a data fault
     named = _write(tmp_path, "x,y,kind\n1,2,a\n")
@@ -205,13 +215,17 @@ def _load_csv_cell_by_cell(path, label_column=None):
     if not rows:
         raise DataError(f"{path}: no data rows")
     header = None
-    first = [cell.strip() for cell in rows[0][1]]
+    header_line, first = rows[0][0], [cell.strip() for cell in rows[0][1]]
     if not any(_is_float(cell) for cell in first):
         header = first
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
     width = len(rows[0][1])
+    if header is not None and len(header) != width:
+        raise DataError(
+            f"{path}: line {header_line}: header has {len(header)} cells, the data rows {width}"
+        )
     if isinstance(label_column, str):
         if header is None:
             raise ConfigError(f"{path}: label column {label_column!r} needs a header row")

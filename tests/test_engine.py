@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amsom import engine
+from amsom import baseline, engine
 from amsom.baseline import train_batch_som
 from amsom.core import (
     Assignment,
@@ -1085,6 +1085,30 @@ def test_cell_width_tracks_the_layout():
     assert _cell_width_sigma(bare, cfg) == cfg.sigma_final
 
 
+def test_median_matches_numpy_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        values=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e300, allow_nan=False),
+                st.sampled_from([0.0, 0.1, 1.0, 1.5, np.inf, 5e-324, 1e300]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        repeats=st.integers(1, 3),
+    )
+    def check(values, repeats):
+        # repeated values make ties, and both parities of size come up
+        values = np.array(values * repeats)
+        assert engine._median(values).tobytes() == np.median(values).tobytes()
+
+    check()
+
+
 def test_schedule_is_exponential_until_positions_freeze():
     cfg = TrainConfig(sigma0=5.0, sigma_final=1.0, sigma_decay_epochs=20)
     ms = build_lattice(LatticeSpec(5, 5))
@@ -1196,6 +1220,93 @@ def test_structural_steps_keep_the_invariants_property():
     check()
 
 
+def _benchmark_sized_map(rng, m, age_max):
+    """A map shaped like a trained mixture16 map: about 3.6 edges per
+    neuron, mostly between neurons close on the layout, a few neurons with
+    many more, a few isolated, and ages on both sides of ``age_max``."""
+    side = int(np.ceil(np.sqrt(m)))
+    positions = np.stack([np.arange(m) % side, np.arange(m) // side], axis=1).astype(float)
+    ms = make_map(rng.normal(size=(m, 3)), positions=positions,
+                  win_count=rng.integers(0, 30, size=m))
+    near = np.clip(np.arange(m)[:, None] + rng.integers(-side - 1, side + 2, size=(m, 2)), 0, m - 1)
+    hubs = rng.choice(m, size=m // 25, replace=False)
+    a = np.concatenate([np.repeat(np.arange(m), 2), np.repeat(hubs, 5)])
+    b = np.concatenate([near.ravel(), rng.integers(0, m, size=hubs.size * 5)])
+    a, b = a[a != b], b[a != b]
+    ms.edges[a, b] = ms.edges[b, a] = True
+    lone = rng.choice(m, size=3, replace=False)
+    ms.edges[lone] = ms.edges[:, lone] = False
+    ages = np.triu(rng.integers(0, age_max + 5, size=(m, m)), 1)
+    ms.ages = np.where(ms.edges, ages + ages.T, 0)
+    ms.validate()
+    return ms
+
+
+def _benchmark_sized_epoch(rng, ms, n):
+    """n winner/runner-up pairs: mostly two thirds of the map's edges, so
+    the others age, and about 60 new pairs."""
+    i, j = np.nonzero(np.triu(ms.edges, 1))
+    hit = rng.choice(i.size, size=2 * i.size // 3, replace=False)
+    pick = hit[rng.integers(0, hit.size, size=n)]
+    winners, seconds = i[pick], j[pick]
+    flip = rng.random(n) < 0.5
+    winners, seconds = np.where(flip, seconds, winners), np.where(flip, winners, seconds)
+    new = rng.choice(n, size=60, replace=False)
+    winners[new] = rng.integers(0, ms.m, size=60)
+    seconds[new] = (winners[new] + rng.integers(1, ms.m, size=60)) % ms.m
+    return winners, seconds
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structural_steps_match_their_loop_references_at_benchmark_size(seed):
+    # one epoch's structural steps on a map of mixture16's size, each against
+    # its loop reference: the edge refresh against the sequential
+    # presentation, then the pruning, a split and the degree cap
+    rng = np.random.default_rng(seed)
+    age_max = 30
+    ms = _benchmark_sized_map(rng, int(rng.integers(200, 261)), age_max)
+    winners, seconds = _benchmark_sized_epoch(rng, ms, 2000)
+
+    seq = ms.copy()
+    for w, s in zip(winners.tolist(), seconds.tolist()):
+        process_pattern_edges(seq, w, s)
+    _apply_epoch_edges(ms, Assignment(winners, seconds, np.zeros(winners.size), ms.m))
+    assert_same_map(ms, seq)
+
+    expected = ms.copy()
+    events = prune_edges_and_neurons(ms, age_max)
+    assert events == _prune_with_an_edge_loop(expected, age_max)
+    assert_same_map(ms, expected)
+    assert sum(e["kind"] == "edge_aged_out" for e in events) > 10
+    assert any(e["kind"] == "neuron_removed" for e in events)
+
+    pnqe = rng.uniform(0.0, 2.0, size=ms.m)
+    assert maybe_add_neuron(ms, pnqe, 0.5, 30, 30, rng)
+    for q in (6, 4):
+        capped, expected = ms.copy(), ms.copy()
+        heavy = set(np.flatnonzero(capped.degrees() > q).tolist())
+        events = enforce_degree(capped, q)
+        assert events == _enforce_degree_every_neuron(expected, q)
+        assert_same_map(capped, expected)
+        assert len(heavy) >= 10
+        if q == 4:
+            # a heavy neuron that an earlier one trimmed ranks fewer peers:
+            # the order of the neurons matters
+            assert any(e["neuron"] < min(set(e["edge"]) - {e["neuron"]}) and
+                       (set(e["edge"]) - {e["neuron"]}) <= heavy
+                       for e in events if e["kind"] == "edge_trimmed")
+
+    gone = np.sort(rng.choice(ms.m, size=7, replace=False))
+    expected = ms.copy()
+    ms.delete_neurons(gone)
+    for name in ("weights", "positions", "win_count"):
+        setattr(expected, name, np.delete(getattr(expected, name), gone, axis=0))
+    for name in ("edges", "ages"):
+        square = np.delete(np.delete(getattr(expected, name), gone, axis=0), gone, axis=1)
+        setattr(expected, name, square)
+    assert_same_map(ms, expected)
+
+
 # ----------------------------------------------------------- whole phases
 
 
@@ -1293,10 +1404,18 @@ def test_train_input_checks():
         train(data, make_map(np.zeros((3, 2))), TrainConfig(sf=2.0))
 
 
+def _same_assignment(carried, fresh):
+    for attr in ("winner", "second", "dist"):
+        assert getattr(carried, attr).tobytes() == getattr(fresh, attr).tobytes()
+    assert carried.m == fresh.m
+
+
 @pytest.mark.parametrize("trainer", ["train", "smooth", "train_batch_som"])
-def test_carried_assignment_matches_a_fresh_one(trainer):
+def test_carried_assignment_matches_a_fresh_one(trainer, monkeypatch):
     # every epoch's report must describe the map exactly as it then stands,
-    # although the trainers reuse that assignment to start the next epoch
+    # although the trainers reuse that assignment to start the next epoch:
+    # the last assignment a trainer made in an epoch must be, bit for bit,
+    # the one a fresh search of the map gives
     rng = np.random.default_rng(0)
     centers = rng.uniform(0.0, 10.0, size=(4, 2))
     data = Dataset(np.vstack([rng.normal(c, 0.6, size=(20, 2)) for c in centers]))
@@ -1307,8 +1426,29 @@ def test_carried_assignment_matches_a_fresh_one(trainer):
     if trainer == "smooth":
         train(data, ms, cfg)
 
+    made = []
+
+    def spy(owner, name):
+        made_by = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            made.append(made_by(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    makers = {
+        "train": [(engine, "assign_all"), (engine, "_after_split_and_removals")],
+        "smooth": [(PrunedSearch, "assign")],
+        "train_batch_som": [(baseline, "assign_all")],
+    }[trainer]
+    for owner, name in makers:
+        spy(owner, name)
+
     def check(report):
-        assert report.mqe == mean_quantization_error(assign_all(data, ms))
+        fresh = assign_all(data, ms)
+        _same_assignment(made[-1], fresh)
+        assert report.mqe == mean_quantization_error(fresh)
 
     run = {"train": train, "smooth": smooth, "train_batch_som": train_batch_som}[trainer]
     _, reports = run(data, ms, cfg, progress=check)
@@ -1317,6 +1457,55 @@ def test_carried_assignment_matches_a_fresh_one(trainer):
         # splits and removals change the map after its mid-epoch assignment
         kinds = {e["kind"] for r in reports for e in r.events}
         assert {"neuron_split", "neuron_removed"} <= kinds
+
+
+def test_assignment_after_a_split_and_removals_property():
+    # the update after a split and removals against a fresh search: beta of
+    # 0 (the parent keeps its weight, its offspring sits at the origin), of
+    # +-0.5 (the clamp's ends) or drawn; duplicate weights, patterns on a
+    # weight, and several removals, the parent or its offspring among them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        m=st.integers(2, 14),
+        d=st.integers(1, 4),
+        beta=st.one_of(st.sampled_from([0.0, 0.5, -0.5, None]), st.floats(-0.5, 0.5)),
+        duplicates=st.integers(0, 4),
+        removals=st.integers(0, 5),
+        grid=st.booleans(),
+    )
+    def check(seed, n, m, d, beta, duplicates, removals, grid):
+        rng = np.random.default_rng(seed)
+        draw = (lambda *shape: rng.integers(-2, 3, size=shape).astype(float)) if grid else (
+            lambda *shape: rng.normal(size=shape))
+        weights = draw(m, d)
+        for _ in range(duplicates):
+            weights[rng.integers(m)] = weights[rng.integers(m)]
+        patterns = draw(n, d)
+        on = min(n, m, duplicates)
+        patterns[:on] = weights[:on]  # patterns exactly on a weight
+        data = Dataset(patterns)
+        ms = make_map(weights)
+        asg = assign_all(data, ms)
+        events = []
+        if beta is not None:
+            parent = int(rng.integers(m))
+            w_u = ms.weights[parent].copy()
+            ms.weights[parent] = (1.0 + beta) * w_u
+            ms = make_map(np.vstack([ms.weights, -beta * w_u]))
+            events.append({"kind": "neuron_split", "parent": parent, "new_neuron": m})
+        gone = rng.choice(ms.m, size=min(removals, ms.m - 2), replace=False)
+        for i in np.sort(gone).tolist():
+            events.append({"kind": "neuron_removed", "neuron": i})
+        ms.delete_neurons(gone)
+        carried = engine._after_split_and_removals(data, ms, asg, events)
+        _same_assignment(carried, assign_all(data, ms))
+
+    check()
 
 
 def test_smooth_freezes_the_structure(iris):

@@ -207,26 +207,6 @@ def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
     }
 
 
-def run_single(
-    train_data: Dataset,
-    test_data: Dataset,
-    config: TrainConfig,
-    sizing: Dataset | None = None,
-    epoch_hook=None,
-) -> tuple[TrainConfig, dict]:
-    """One paired run: adaptive map and baseline from the same initial map.
-
-    The one-run case of the stages of ``run_experiment``. Returns the
-    resolved config and, for "amsom" and "som" in that order, a tuple
-    ``(map, labels, record)``: the trained map, its majority-vote neuron
-    labels on the train split (None without labels) and its SUMMARY_METRICS
-    values, keyed in that order.
-    """
-    paired = _train_paired(train_data, test_data, config, sizing, epoch_hook)
-    _smooth_paired([paired])
-    return _finish_paired(paired)
-
-
 def _aggregate(records: list) -> dict:
     summary = {}
     for algorithm in ("amsom", "som"):

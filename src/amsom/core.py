@@ -94,6 +94,14 @@ class MapState:
     def degrees(self) -> np.ndarray:
         return self.edges.sum(axis=1)
 
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once, as its ends ``(i, j)`` with i < j, in row-major
+        order (the order of ``np.nonzero(np.triu(edges, 1))``), from one
+        flat scan of the adjacency matrix."""
+        i, j = np.divmod(np.flatnonzero(self.edges), self.m)
+        upper = i < j
+        return i[upper], j[upper]
+
     def copy(self) -> "MapState":
         return MapState(
             self.weights.copy(),
@@ -349,93 +357,102 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     return Assignment(winner, second, dist, map_state.m)
 
 
-# PrunedSearch sends the rows of one run it searches again to the
-# brute-force _exact_rows while rows * m * d is at most this, else to the GEMM
-# search. With one BLAS thread on a 2-core x86 host the two cross between 4800
-# and 8100 entries at m=150, d=2, and between 8260 and 11800 at m=59, d=4.
-# Rows of several runs are searched in one brute-force call while their
-# padded work is at most EXACT_ROUTE per run (and CHUNK in all).
+def _among(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray):
+    """``_exact_rows`` of each row among its own candidates: winner,
+    runner-up, winner distance and third-smallest squared distance by brute
+    force, over the neurons that row of ``cand`` lists in ascending order
+    (at least two). Index m stands for a neuron at inf, which pads a row's
+    list: an inf distance loses every ``argmin`` tie to the neurons before
+    it. Blocks of rows keep the difference array under CHUNK entries. The
+    winner and runner-up are neuron indices."""
+    m, d = weights.shape
+    padded = np.concatenate([weights, np.full((1, d), np.inf)])
+
+    def block(part: np.ndarray, own: np.ndarray):
+        best, second, dist, third = _exact_block(part, padded.take(own, axis=0))
+        at = np.arange(own.shape[0])
+        return own[at, best], own[at, second], dist, third
+
+    return _in_blocks(block, (patterns, cand), max(1, CHUNK // (cand.shape[1] * d)))
+
+
+# PrunedSearch sends the rows it searches again to one brute-force call
+# against each row's own run, its neurons padded to the largest run, while
+# their padded work is at most EXACT_ROUTE per run (and CHUNK in all); past
+# that each run's rows take the brute-force _exact_rows while rows * m * d
+# is at most EXACT_ROUTE, else the GEMM search. With one BLAS thread on a
+# 2-core x86 host the two cross between 4800 and 8100 entries at m=150, d=2,
+# and between 8260 and 11800 at m=59, d=4.
 EXACT_ROUTE = 8192
 
 
 class PrunedSearch:
     """``assign_all`` of one dataset against weights that move a little per
-    call, bit for bit. Each row carries its pair and a lower bound on its
-    distance to every other neuron, lowered each call by the largest weight
-    movement, rounded up (Elkan 2003, Hamerly 2010). A row keeps its pair
-    while both pair distances, recomputed as in ``assign_all``, stay under
-    the squared bound by ``tol``; the rest are searched again, and only
-    their pairs are written back, in place and in index order, as ``_pair``
-    takes them. A call in which no row fails its bound makes no search call
-    at all. O(n) state. A pair needs two neurons, so a map of one raises
-    MapStructureError.
+    call, bit for bit, for one run or several side by side. Each row carries
+    its pair and a lower bound on its distance to every other neuron of its
+    run, lowered each call by its run's largest weight movement, rounded up
+    (Elkan 2003, Hamerly 2010). A row keeps its pair while both pair
+    distances, recomputed as in ``assign_all``, stay under the squared bound
+    by ``tol``; the rest are searched again, and only their pairs are written
+    back, in place and in index order, as ``_pair`` takes them. The first
+    call has no bounds, so it searches every row. A call in which no row
+    fails its bound makes no search call at all. O(n) state.
 
     ``runs`` splits the rows of ``data`` and the neurons of the weights into
-    consecutive runs, one ``(rows, neurons)`` per run; the default is one run
-    of every row and every neuron. A row is searched among its own run's
+    consecutive runs, one ``(rows, neurons)`` per run; a single search is a
+    run of one, ``[(data.n, m)]``. A row is searched among its own run's
     neurons only, the movement and ``tol`` are each run's own (a maximum is
     exact), and the indices returned count the neurons of all runs in order.
-    Rows of several runs searched again share one brute-force call against
-    their runs' weights padded with inf to the largest run; past
-    ``EXACT_ROUTE`` per run, each run's rows take the route one run would.
+    Rows searched again share one brute-force call against their runs'
+    weights padded with inf to the largest run; past ``EXACT_ROUTE`` per
+    run, each run's rows take their own search. A pair needs two neurons, so
+    a run of fewer raises MapStructureError.
     """
 
-    def __init__(self, data: Dataset, runs=None):
+    def __init__(self, data: Dataset, runs):
         self.patterns = data.patterns
         p_sq = np.einsum("nd,nd->n", data.patterns, data.patterns)
-        rows, neurons = zip(*runs) if runs is not None else ((data.n,), (0,))
+        rows, neurons = zip(*runs)
         if sum(rows) != data.n:
             raise DataError(f"runs hold {sum(rows)} rows, the data {data.n}")
-        if runs is not None and min(neurons) < 2:
+        if min(neurons) < 2:
             raise MapStructureError("the pruned search needs at least 2 neurons per run")
         self.runs = len(rows)
         self.neurons = np.array(neurons)
         self.row_starts = np.cumsum(rows) - rows
         self.neuron_starts = np.cumsum(neurons) - self.neurons
-        self.p_sq_max = self._per_run(np.maximum.reduceat(p_sq, self.row_starts))
-        if self.runs > 1:
-            self.run_of_row = np.repeat(np.arange(self.runs), rows)
-            # each run's neurons in a row, padded with the index of an inf row
-            # appended to the weights: inf distances lose every argmin tie to
-            # the run's own neurons, which come first
-            local = np.arange(self.neurons.max())
-            self.padded = np.where(
-                local < self.neurons[:, None],
-                self.neuron_starts[:, None] + local,
-                self.neurons.sum(),
-            )
+        self.p_sq_max = np.maximum.reduceat(p_sq, self.row_starts)
+        self.run_of_row = np.repeat(np.arange(self.runs), rows)
+        # each run's neurons in a row, ascending, padded with index m, the
+        # inf neuron of _among
+        local = np.arange(self.neurons.max())
+        self.padded = np.where(
+            local < self.neurons[:, None],
+            self.neuron_starts[:, None] + local,
+            self.neurons.sum(),
+        )
         # no pair yet: a zero bound sends every row to the search
         self.pair = np.zeros((data.n, 2), dtype=np.int64)
         self.bound = np.zeros(data.n)
         self.prev = None
-
-    def _per_run(self, values: np.ndarray):
-        """One value per run, as a scalar for a single run: the arithmetic on
-        it then runs on scalars, with the bits of the array's."""
-        return values[0] if self.runs == 1 else values
-
-    def __call__(self, map_state: MapState) -> Assignment:
-        return self.assign(map_state.weights)
 
     def assign(self, weights: np.ndarray) -> Assignment:
         """The assignment of every row against ``weights``, which this
         search reads only and copies for the next call's movement."""
         patterns, starts = self.patterns, self.neuron_starts
         m, d = weights.shape
-        if m < 2:
-            raise MapStructureError("the pruned search needs at least 2 neurons")
+        if m != self.neurons.sum():
+            raise MapStructureError(f"weights hold {m} neurons, the runs {self.neurons.sum()}")
         step = weights - (weights if self.prev is None else self.prev)
         self.prev = weights.copy()
         # the factor below 1 covers the rounding of the subtraction; a
         # non-finite movement leaves no bound positive
-        top = self._per_run(np.maximum.reduceat(np.einsum("md,md->m", step, step), starts))
+        top = np.maximum.reduceat(np.einsum("md,md->m", step, step), starts)
         move = np.sqrt(top) * (1.0 + (d + 2) * _EPS)
         # one tol per run, at the largest scale of any of its rows
-        top = self._per_run(np.maximum.reduceat(np.einsum("md,md->m", weights, weights), starts))
-        tol = _tol(self.p_sq_max + top, d)
-        if self.runs > 1:
-            move, tol = move.take(self.run_of_row), tol.take(self.run_of_row)
-        self.bound = bound = (self.bound - move) * (1.0 - _EPS)
+        top = np.maximum.reduceat(np.einsum("md,md->m", weights, weights), starts)
+        tol = _tol(self.p_sq_max + top, d).take(self.run_of_row)
+        self.bound = bound = (self.bound - move.take(self.run_of_row)) * (1.0 - _EPS)
         winner, second, dist, far = _pair(patterns, weights, self.pair)
         redo = (~((bound > 0.0) & (far + tol < bound * bound))).nonzero()[0]
         if redo.size:
@@ -446,25 +463,22 @@ class PrunedSearch:
                 self.pair[rows, 1] = np.maximum(again[0], again[1])
         return Assignment(winner, second, dist, m)
 
-    def _search_again(self, redo: np.ndarray, weights: np.ndarray, tol) -> list:
+    def _search_again(self, redo: np.ndarray, weights: np.ndarray, tol: np.ndarray) -> list:
         """``(rows, (winner, second, dist, bound))`` for the rows ``redo``:
-        of all of them from one search, or of each run's rows from its own."""
+        of all of them from one padded search, or of each run's rows from
+        its own."""
         patterns = self.patterns
-        if self.runs == 1:
-            return [(redo, _search_run(patterns[redo], weights, tol))]
-        d = weights.shape[1]
-        runs = self.run_of_row.take(redo)
-        start = self.neuron_starts.take(runs)
-        if redo.size * self.padded.shape[1] * d <= min(EXACT_ROUTE * self.runs, CHUNK):
-            inf_row = np.full((1, d), np.inf)
-            own = np.concatenate([weights, inf_row]).take(self.padded.take(runs, axis=0), axis=0)
-            best, second, dist, third = _exact_block(patterns[redo], own)
-            return [(redo, (best + start, second + start, dist, _bound(third, tol[redo])))]
+        if redo.size * self.padded.shape[1] * weights.shape[1] <= min(
+            EXACT_ROUTE * self.runs, CHUNK
+        ):
+            own = self.padded.take(self.run_of_row.take(redo), axis=0)
+            *found, third = _among(patterns[redo], weights, own)
+            return [(redo, (*found, _bound(third, tol[redo])))]
         found = []
         cuts = np.searchsorted(redo, self.row_starts).tolist() + [redo.size]
         for run, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
             if lo < hi:
-                rows, a = redo[lo:hi], start[lo]
+                rows, a = redo[lo:hi], self.neuron_starts[run]
                 own = weights[a : a + self.neurons[run]]
                 winner, second, dist, bound = _search_run(patterns[rows], own, tol[rows])
                 found.append((rows, (winner + a, second + a, dist, bound)))

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    CHUNK,
     Assignment,
     Dataset,
     MapState,
     PrunedSearch,
-    _exact_block,
-    _in_blocks,
+    _among,
     _mean_root,
     _search,
     assign_all,
@@ -150,7 +148,7 @@ def _pairwise_sq(points: np.ndarray) -> np.ndarray:
     either order. Other d take blocks of rows, each summed by the same
     ``einsum`` over its differences with the columns from its first row on,
     and mirrored below the diagonal: fl(a - b) = -fl(b - a), so both halves
-    square to the same bits. Rows that fit in one block are summed whole.
+    square to the same bits.
     """
     m, d = points.shape
     if d == 2:
@@ -161,9 +159,6 @@ def _pairwise_sq(points: np.ndarray) -> np.ndarray:
         dy *= dy
         sq += dy
         return sq
-    if m * m * d <= KERNEL_CHUNK:
-        diff = points[:, None, :] - points
-        return np.einsum("ijk,ijk->ij", diff, diff)
     sq = np.empty((m, m))
     step = max(1, KERNEL_CHUNK // (m * d))
     for start in range(0, m, step):
@@ -262,11 +257,7 @@ def _pull(state, t, bins, k, pull, rate) -> None:
     den = np.bincount(t, weights=k, minlength=m)
     num = np.bincount(bins, weights=(k[:, None] * pull).ravel(), minlength=m * dim)
     num = num.reshape(m, dim)
-    ok = den > 0.0
-    if ok.all():
-        state += rate * (num / den[:, None])
-        return
-    ok = ok[:, None]
+    ok = (den > 0.0)[:, None]
     # float64 buffers: bincount over no pairs returns int64
     mean = np.zeros((m, dim))
     np.divide(num, den[:, None], out=mean, where=ok)
@@ -330,10 +321,10 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
     map_state.win_count += wins
 
 
-def _remove_isolated(map_state: MapState, degrees=None) -> list:
+def _remove_isolated(map_state: MapState, degrees: np.ndarray) -> list:
     """Drop neurons with no edges, in ascending index order, keeping m >= 2;
-    ``degrees`` are the map's degrees if the caller counted them."""
-    isolated = ((map_state.degrees() if degrees is None else degrees) == 0).nonzero()[0]
+    ``degrees`` are the map's degrees, as the caller counted them."""
+    isolated = (degrees == 0).nonzero()[0]
     if isolated.size == 0:
         return []
     allowed = max(0, map_state.m - 2)
@@ -526,8 +517,7 @@ def _cell_width_sigma(map_state: MapState, config: TrainConfig) -> float:
     median edge length. Returns that width capped at sigma_final; on a rigid
     unit lattice this is sigma_final exactly.
     """
-    _, i, j = _edge_entries(map_state)
-    i, j = i[i < j], j[i < j]
+    i, j = map_state.edge_pairs()
     if i.size == 0:
         return float(config.sigma_final)
     gaps = map_state.positions[i] - map_state.positions[j]
@@ -668,13 +658,7 @@ def _after_split_and_removals(data: Dataset, map_state: MapState, asg: Assignmen
         rows = (~stale).nonzero()[0]
         cand = np.column_stack([winner[rows], second[rows], np.tile(fresh, (rows.size, 1))])
         cand.sort(axis=1)
-        best, runner, dist[rows], _ = _in_blocks(
-            lambda p, c: _exact_block(p, weights.take(c, axis=0)),
-            (patterns[rows], cand),
-            max(1, CHUNK // (cand.shape[1] * map_state.d)),
-        )
-        winner[rows] = np.take_along_axis(cand, best[:, None], axis=1)[:, 0]
-        second[rows] = np.take_along_axis(cand, runner[:, None], axis=1)[:, 0]
+        winner[rows], second[rows], dist[rows], _ = _among(patterns[rows], weights, cand)
     redo = stale.nonzero()[0]
     if redo.size:
         winner[redo], second[redo], dist[redo], _ = _search(patterns[redo], weights)
@@ -754,9 +738,10 @@ def smooth(
     other epochs never count wins, since an assignment counts them when
     first read. Stops when the epoch-to-epoch error change drops under
     eps2, or after smooth_max_epochs. Returns ``(map_state, reports)``.
-    This is the one-run case of ``smooth_runs``; after its first
-    ``assign_all``, ``PrunedSearch`` finds each epoch's winners, and an
-    epoch in which every pattern keeps its pair runs no search at all.
+    This is the one-run case of ``smooth_runs``: one ``PrunedSearch`` finds
+    the winners, first of the map as it comes (a search of every pattern,
+    the bits of ``assign_all``), then of each epoch's, and an epoch in which
+    every pattern keeps its pair runs no search at all.
 
     ``_lockstep`` is for ``smooth_runs`` alone: it runs its runs, of which
     this call's is the first, under this call, where a span profiler that
@@ -783,7 +768,9 @@ def smooth_runs(runs):
     frozen; the others go on. A run whose error turns non-finite, or whose
     ``progress`` raises, stops with every later run; the earlier runs
     finish, and its error is then raised with the run's index in ``runs``
-    as its ``run`` attribute. The runs share one input dimension. Each
+    as its ``run`` attribute. The runs share one input dimension, their
+    maps' (DataError, before any map changes). The winner search is one
+    ``PrunedSearch`` over the live runs, rebuilt when a run leaves. Each
     map's weights and positions become views into the batch's arrays.
     """
     lockstep = _Lockstep(runs)
@@ -813,15 +800,16 @@ class _Lockstep:
     def __init__(self, runs):
         self.runs = [tuple(run) for run in runs]
         self.reports = []
-        for _, map_state, _, _ in self.runs:
+        for data, map_state, _, _ in self.runs:
             if map_state.m < 2:
                 raise MapStructureError("smoothing needs at least 2 neurons")
+            if data.d != map_state.d:
+                raise DataError(f"dataset d={data.d} does not match map d={map_state.d}")
         if len({data.d for data, _, _, _ in self.runs}) > 1:
             raise DataError("runs smoothed in lockstep need one input dimension")
 
     def run(self) -> list:
         """Smooth every run; returns (and keeps) the reports of each."""
-        starts = [assign_all(data, map_state) for data, map_state, _, _ in self.runs]
         self.fixed = []
         for _, map_state, config, _ in self.runs:
             # np.nonzero lists pairs by row, then column; the graph is
@@ -834,14 +822,14 @@ class _Lockstep:
             # -x / c, as x / -c: negation is exact and rounding symmetric in sign
             self.fixed.append((t, s, -(sigma * sigma), -(config.gamma * sigma * sigma)))
         self.live = list(range(len(self.runs)))
-        self._join(starts)
+        self._join()
         loops = [(cfg.smooth_max_epochs, cfg.eps2, progress) for _, _, cfg, progress in self.runs]
         self.reports = _run_epochs(loops, self.step)
         return self.reports
 
-    def _join(self, starts=None) -> None:
-        """Concatenate the live runs. Their assignments are ``starts`` (one
-        per live run), or the search's first one when a run left."""
+    def _join(self) -> None:
+        """Concatenate the live runs, and assign them by the first call of
+        a new search over them."""
         runs = [self.runs[i] for i in self.live]
         fixed = [self.fixed[i] for i in self.live]
         maps = [map_state for _, map_state, _, _ in runs]
@@ -873,17 +861,7 @@ class _Lockstep:
         )
         self.spans = [(a, a + size) for a, size in zip((np.cumsum(n) - n).tolist(), n)]
         self.search = PrunedSearch(self.data, list(zip(n, m)))
-        if starts is None:
-            self.asg = self.search.assign(w)
-        elif len(starts) == 1:
-            self.asg = starts[0]
-        else:
-            self.asg = Assignment(
-                np.concatenate([asg.winner + a for asg, a in zip(starts, first)]),
-                np.concatenate([asg.second + a for asg, a in zip(starts, first)]),
-                np.concatenate([asg.dist for asg in starts]),
-                w.shape[0],
-            )
+        self.asg = self.search.assign(w)
         # the winner statistics gathered at the sources; the data and m are
         # fixed, so they change only when the winners do
         self.winner = self.n_s = self.n_off = self.xbar_s = None

@@ -41,8 +41,8 @@ def snapshot_dict(
 ) -> dict:
     """Plain-dict form of a map: weights, positions, edges as (i, j, age)
     triples with i < j, plus optional labels, config echo and metrics."""
-    i, j = np.nonzero(np.triu(map_state.edges, 1))
-    edges = [[int(a), int(b), int(map_state.ages[a, b])] for a, b in zip(i, j)]
+    i, j = map_state.edge_pairs()
+    edges = np.column_stack([i, j, map_state.ages[i, j]]).tolist()
     return {
         "format_version": SNAPSHOT_VERSION,
         "neuron_count": map_state.m,
@@ -175,12 +175,15 @@ def render_svg(map_state: MapState, path, labels=None) -> None:
 
     Neurons are placed at their positions scaled into the canvas (y flipped so
     "up" stays up). Circles are filled by class color when ``labels`` gives a
-    class id, hollow for None/unlabeled neurons.
+    class id, hollow for None/unlabeled neurons. The layout is measured on
+    halved positions, whose extent cannot overflow however far apart finite
+    positions lie; halving is exact for normal numbers, so the canvas
+    coordinates are those the positions themselves give.
     """
-    pos = map_state.positions
+    pos = map_state.positions / 2.0
     lo = pos.min(axis=0)
     span = pos.max(axis=0) - lo
-    scale = (SVG_SIZE - 2 * SVG_MARGIN) / max(float(span.max()), 1e-12)
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / max(float(span.max()), 1e-12 / 2.0)
 
     def to_canvas(p):
         x = SVG_MARGIN + (p[0] - lo[0]) * scale
@@ -192,8 +195,7 @@ def render_svg(map_state: MapState, path, labels=None) -> None:
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    i, j = np.nonzero(np.triu(map_state.edges, 1))
-    for a, b in zip(i, j):
+    for a, b in zip(*map_state.edge_pairs()):
         x1, y1 = to_canvas(pos[a])
         x2, y2 = to_canvas(pos[b])
         parts.append(

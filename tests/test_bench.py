@@ -20,7 +20,6 @@ from amsom.bench import (
     parse_label_column,
     read_config_file,
     run_experiment,
-    run_single,
 )
 from amsom.cli import main
 from amsom.core import Dataset
@@ -404,22 +403,41 @@ def test_epoch_hook_sees_the_stages_in_order(blob_csv, tmp_path):
     assert len(baselines) == 2 and not set(baselines) & set(runs)
 
 
-def test_run_single_returns_one_record_per_map(blob_csv):
+def test_one_run_experiment_records_one_row_per_map(blob_csv, tmp_path):
+    # a single paired run: per map, one snapshot holding the resolved config
+    # and the train-split labels, and one runs.csv row of SUMMARY_METRICS
+    out = tmp_path / "out"
+    spec = ExperimentSpec(
+        dataset=str(blob_csv), runs=1, label_column="label", output_dir=str(out),
+        config=_quick_config(),
+    )
+    run_experiment(spec)
     full = load_dataset(str(blob_csv), "label")
-    train_data, test_data, _ = split_dataset(full, (0.6, 0.2, 0.2), 5)
-    cfg, fits = run_single(train_data, test_data, _quick_config())
-    assert cfg.sigma0 is not None  # the resolved config
-    assert list(fits) == ["amsom", "som"]
-    for map_state, labels, record in fits.values():
-        assert list(record) == SUMMARY_METRICS
+    train_data, test_data, _ = split_dataset(full, (0.6, 0.2, 0.2), _derived_seeds(0, 0)[0])
+    with open(out / "runs.csv") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["algorithm", "run"] + SUMMARY_METRICS
+    assert [(r["algorithm"], r["run"]) for r in rows] == [("amsom", "0"), ("som", "0")]
+    for row in rows:
+        map_state, payload = load_snapshot(out / f"run_00_{row['algorithm']}.json")
+        assert payload["config"]["sigma0"] is not None  # the resolved config
         on_train = quality_report(train_data, map_state)
         on_test = quality_report(test_data, map_state)
-        assert labels == on_train.neuron_labels
-        assert (record["qe_train"], record["te_train"]) == (on_train.qe, on_train.te)
-        assert (record["qe_test"], record["te_test"]) == (on_test.qe, on_test.te)
-        assert record["dead_fraction_train"] == on_train.dead_unit_fraction
-        assert record["neurons"] == map_state.m
-    assert fits["som"][2]["smooth_epochs"] == 0
+        assert payload["neuron_labels"] == list(on_train.neuron_labels)
+        expected = {
+            "qe_train": on_train.qe,
+            "te_train": on_train.te,
+            "qe_test": on_test.qe,
+            "te_test": on_test.te,
+            "neurons": map_state.m,
+            "dead_fraction_train": on_train.dead_unit_fraction,
+        }
+        assert {key: float(row[key]) for key in expected} == expected
+        # the snapshot holds every figure of the row but the dead fraction
+        assert list(payload["metrics"]) == SUMMARY_METRICS[:-1]
+        assert {key: float(row[key]) for key in SUMMARY_METRICS[:-1]} == payload["metrics"]
+    assert float(rows[1]["smooth_epochs"]) == 0
 
 
 def test_run_experiment_is_byte_deterministic(blob_csv, tmp_path):

@@ -280,10 +280,12 @@ def test_blocked_assign_all_equals_brute_force_property(monkeypatch):
 def _spy_pruned_routes(monkeypatch):
     """Count the rows PrunedSearch sends to the GEMM search and to the
     brute-force search while ``on[0]`` is set; the brute-force fallback
-    inside the GEMM search is not a route of its own."""
+    inside the GEMM search is not a route of its own. Rows searched among
+    their own run's neurons (one ``_exact_block`` call with a 3-D weight
+    array) take the brute-force route too."""
     rows = Counter()
     on = [False]
-    search, exact = core._search, core._exact_rows
+    search, exact, block = core._search, core._exact_rows, core._exact_block
 
     def spy_search(patterns, weights):
         counting, on[0] = on[0], False
@@ -297,8 +299,13 @@ def _spy_pruned_routes(monkeypatch):
         rows["exact"] += on[0] * patterns.shape[0]
         return exact(patterns, weights)
 
+    def spy_block(patterns, weights):
+        rows["exact"] += on[0] * (weights.ndim == 3) * patterns.shape[0]
+        return block(patterns, weights)
+
     monkeypatch.setattr(core, "_search", spy_search)
     monkeypatch.setattr(core, "_exact_rows", spy_exact)
+    monkeypatch.setattr(core, "_exact_block", spy_block)
     return rows, on
 
 
@@ -335,7 +342,7 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
         if rounded:
             patterns, weights = np.round(patterns), np.round(weights)
         data, ms = Dataset(patterns), make_map(weights)
-        search = PrunedSearch(data)
+        search = PrunedSearch(data, [(n, m)])
         for t in range(12):
             if t:
                 # a smoothing-sized step for every neuron; on the integer
@@ -352,7 +359,7 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
                         ms.weights[j] = np.round(ms.weights[j])
             routed = rows["gemm"] + rows["exact"]
             on[0] = t > 0
-            asg = search(ms)
+            asg = search.assign(ms.weights)
             on[0] = False
             if t:
                 rows["skip"] += n - (rows["gemm"] + rows["exact"] - routed)
@@ -374,16 +381,16 @@ def test_pruned_search_without_a_search_equals_assign_all(monkeypatch):
     # (a tie goes to the lower index, 1, even right after 3 won)
     data = Dataset([[0.0, 0.0], [0.0, 0.1]])
     weights = np.array([[50.0, 50.0], [1.001, 0.0], [-50.0, 50.0], [-1.0, 0.0]])
-    search = PrunedSearch(data)
+    search = PrunedSearch(data, [(2, 4)])
     ms = make_map(weights)
-    search(ms)
+    search.assign(ms.weights)
     rows, on = _spy_pruned_routes(monkeypatch)
     winners = []
     for x1, x3 in ((1.001, -1.0), (1.0, -1.0), (0.999, -1.0), (1.0, -0.995), (1.0, -1.0)):
         ms.weights = weights.copy()
         ms.weights[1, 0], ms.weights[3, 0] = x1, x3
         on[0] = True
-        asg = search(ms)
+        asg = search.assign(ms.weights)
         on[0] = False
         fresh = assign_all(data, ms)
         assert np.array_equal(asg.winner, fresh.winner)
@@ -396,10 +403,13 @@ def test_pruned_search_without_a_search_equals_assign_all(monkeypatch):
 
 
 def test_pruned_search_needs_two_neurons():
-    # a one-neuron map has no runner-up to pair with its winner
-    search = PrunedSearch(Dataset([[0.0], [1.0]]))
+    # a one-neuron map has no runner-up to pair with its winner, and the
+    # weights searched must hold the neurons of the runs
+    data = Dataset([[0.0], [1.0]])
     with pytest.raises(MapStructureError):
-        search(make_map([[0.5]]))
+        PrunedSearch(data, [(2, 1)])
+    with pytest.raises(MapStructureError, match="weights hold 1 neurons"):
+        PrunedSearch(data, [(2, 2)]).assign(np.array([[0.5]]))
 
 
 def test_pruned_search_keeps_the_pairs_that_stay_clear(monkeypatch):
@@ -408,17 +418,17 @@ def test_pruned_search_keeps_the_pairs_that_stay_clear(monkeypatch):
     rng = np.random.default_rng(5)
     data = Dataset(rng.normal(size=(50, 3)))
     ms = make_map(rng.normal(size=(10, 3)))
-    search = PrunedSearch(data)
-    search(ms)
+    search = PrunedSearch(data, [(50, 10)])
+    search.assign(ms.weights)
     rows, on = _spy_pruned_routes(monkeypatch)
     on[0] = True
     for weights in (ms.weights, ms.weights + 1e-9, ms.weights + 1e-9, ms.weights):
         ms.weights = weights
-        search(ms)
+        search.assign(ms.weights)
         assert rows["gemm"] + rows["exact"] == 0
     ms.weights = ms.weights.copy()
     ms.weights[3] += 50.0
-    asg = search(ms)
+    asg = search.assign(ms.weights)
     assert rows["gemm"] + rows["exact"] == data.n
     assert _same_as_exact(asg, data.patterns, ms.weights)
 
@@ -438,10 +448,10 @@ def test_pruned_search_bounds_allow_for_the_score_error(monkeypatch):
         c = rng.uniform(6e5, 1e6, size=2)
         data = Dataset(c[None, :])
         ms = make_map(c + np.vstack([0.3 * e0, -0.5 * e0, far * e1, -10 * e1]))
-        search = PrunedSearch(data)
-        assert search(ms).second[0] == 1
+        search = PrunedSearch(data, [(1, 4)])
+        assert search.assign(ms.weights).second[0] == 1
         ms.weights = c + np.vstack([0.3 * e0, -behind * e0, (far - 0.03) * e1, -10 * e1])
-        asg = search(ms)
+        asg = search.assign(ms.weights)
         assert asg.second[0] == 2
         assert _same_as_exact(asg, data.patterns, ms.weights)
 
@@ -452,11 +462,11 @@ def test_pruned_search_bound_after_an_overflowing_distance():
     # infinite bound would never let the row be searched again
     patterns = np.array([[-7e153]])
     ms = make_map([[-7e153 + 1e140], [-7e153 + 2e140], [7e153]])
-    search = PrunedSearch(Dataset(patterns))
+    search = PrunedSearch(Dataset(patterns), [(1, 3)])
     for x in (7e153, 0.0, -7e153 + 1.5e140):
         ms.weights = ms.weights.copy()
         ms.weights[2, 0] = x
-        asg = search(ms)
+        asg = search.assign(ms.weights)
         assert _same_as_exact(asg, patterns, ms.weights)
     assert asg.second[0] == 2
 
@@ -528,7 +538,7 @@ def test_pruned_search_over_runs_equals_assign_all_per_run(monkeypatch):
         search = PrunedSearch(
             Dataset(np.concatenate(patterns)), [(n, m) for n, m, _ in shapes]
         )
-        alone = [PrunedSearch(Dataset(p)) for p in patterns]
+        alone = [PrunedSearch(Dataset(p), [(n, m)]) for p, (n, m, _) in zip(patterns, shapes)]
         for t in range(10):
             if t:
                 weights = [
@@ -599,6 +609,53 @@ def test_pruned_search_over_runs_input_checks():
         PrunedSearch(data, [(2, 2), (2, 1)])
 
 
+def test_among_equals_exact_rows_on_each_rows_candidates(monkeypatch):
+    # each row's ascending candidates, padded or not with index m (a neuron
+    # at inf), against _exact_rows of those candidates' weights alone, with
+    # neuron indices for its positions; duplicate weights and patterns on a
+    # weight make ties, and a small CHUNK splits the rows into blocks
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(2, 20),
+        d=st.integers(1, 5),
+        k=st.integers(2, 8),
+        padded=st.booleans(),
+        duplicates=st.integers(0, 4),
+        grid=st.booleans(),
+        chunk=st.sampled_from([core.CHUNK, 40, 1]),
+    )
+    def check(seed, n, m, d, k, padded, duplicates, grid, chunk):
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        if grid:
+            weights, patterns = (rng.integers(-2, 3, size=(r, d)).astype(float) for r in (m, n))
+        else:
+            weights, patterns = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        for _ in range(duplicates):
+            weights[rng.integers(m)] = weights[rng.integers(m)]
+        on = min(n, duplicates)
+        patterns[:on] = weights[rng.integers(m, size=on)]
+        k = min(k, m)
+        cand = np.sort([rng.choice(m, size=k, replace=False) for _ in range(n)], axis=1)
+        if padded:
+            # each row keeps 2 to k of its candidates; index m fills the rest
+            cand[np.arange(k) >= rng.integers(2, k + 1, size=(n, 1))] = m
+        winner, second, dist, third = core._among(patterns, weights, cand)
+        for row, own in enumerate(cand):
+            real = own[own < m]
+            best, runner, near, far = _exact_rows(patterns[row : row + 1], weights[real])
+            assert (winner[row], second[row]) == (real[best[0]], real[runner[0]])
+            assert dist[row].tobytes() == near[0].tobytes()
+            assert third[row].tobytes() == far[0].tobytes()
+
+    check()
+
+
 def test_assign_all_memory_is_bounded_by_the_chunk(monkeypatch):
     # the brute-force search would need an n*m*d temporary of 1.8 GB here
     rng = np.random.default_rng(2)
@@ -618,17 +675,17 @@ def test_assign_all_memory_is_bounded_by_the_chunk(monkeypatch):
     # pruned epochs carry O(n) state; at m*d > EXACT_ROUTE every row searched
     # again takes the chunked GEMM route (the brute-force route is capped at
     # EXACT_ROUTE entries)
-    search = PrunedSearch(data)
-    search(ms)
+    search = PrunedSearch(data, [(data.n, ms.m)])
+    search.assign(ms.weights)
     rows, on = _spy_pruned_routes(monkeypatch)
     on[0] = True
     ms.weights = ms.weights + 1e-9
-    assert peak_of(lambda: search(ms)) < 32e6
+    assert peak_of(lambda: search.assign(ms.weights)) < 32e6
     assert rows["gemm"] < data.n and rows["exact"] == 0
     ms.weights = ms.weights.copy()
     ms.weights[0] = 100.0  # a far jump leaves no bound positive
     rows.clear()
-    assert peak_of(lambda: search(ms)) < 32e6
+    assert peak_of(lambda: search.assign(ms.weights)) < 32e6
     assert rows["gemm"] == data.n
 
 

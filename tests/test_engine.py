@@ -475,7 +475,7 @@ def _smooth_by_the_epoch_formula(data, ms, cfg):
     with_self = np.nonzero(ms.edges | np.eye(ms.m, dtype=bool))
     pairs = np.nonzero(ms.edges)
     sigma = _cell_width_sigma(ms, cfg)
-    search = PrunedSearch(data)
+    search = PrunedSearch(data, [(data.n, ms.m)])
     starts = []
     asg = assign_all(data, ms)
 
@@ -489,7 +489,7 @@ def _smooth_by_the_epoch_formula(data, ms, cfg):
         )
         width2 = cfg.gamma * sigma * sigma
         ms.positions = _edge_step(pairs, n, ms.weights, width2, r, r, cfg.alpha_smooth)
-        asg = search(ms)
+        asg = search.assign(ms.weights)
         return [(asg.dist, [])]
 
     (reports,) = _run_epochs([(cfg.smooth_max_epochs, cfg.eps2, None)], step)
@@ -990,7 +990,7 @@ def _enforce_degree_every_neuron(map_state, q):
         map_state.edges[drop, i] = False
         map_state.ages[i, drop] = 0
         map_state.ages[drop, i] = 0
-    events += _remove_isolated(map_state)
+    events += _remove_isolated(map_state, map_state.degrees())
     return events
 
 
@@ -1006,7 +1006,7 @@ def _prune_with_an_edge_loop(map_state, age_max):
         )
     map_state.edges[aged] = False
     map_state.ages[aged] = 0
-    events += _remove_isolated(map_state)
+    events += _remove_isolated(map_state, map_state.degrees())
     return events
 
 

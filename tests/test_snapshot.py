@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +162,52 @@ def test_render_svg_draws_every_neuron_and_edge(tmp_path):
     assert text.count(f'fill="{PALETTE[0]}"') == 2
     assert text.count(f'fill="{PALETTE[1]}"') == 1
     assert text.count('fill="none"') == 1
+
+
+def _canvas_numbers(path) -> list:
+    """Every coordinate attribute of an SVG file, in file order, as text."""
+    return re.findall(r'(?:cx|cy|x1|y1|x2|y2)="([^"]*)"', path.read_text())
+
+
+def test_render_svg_places_far_apart_finite_positions_on_the_canvas(tmp_path):
+    # each position is finite, but their extent, 2e308, overflows
+    ms = make_map([[0.0], [0.0]], positions=[[-1e308, 0.0], [1e308, 0.0]], edges=[(0, 1)])
+    path = tmp_path / "map.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_svg(ms, path)
+    numbers = [float(v) for v in _canvas_numbers(path)]
+    assert all(math.isfinite(v) for v in numbers)
+    # line x1 y1 x2 y2, then each circle's cx cy: the canvas's two ends
+    assert numbers == [40.0, 600.0, 600.0, 600.0] * 2
+
+
+def test_render_svg_coordinates_are_those_of_the_positions(tmp_path):
+    # the extent measured on halved positions moves no canvas coordinate:
+    # the reference scales the positions themselves
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "map.svg"
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        log_scale=st.floats(-290, 300),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
+    )
+    def check(seed, m, log_scale, offset):
+        rng = np.random.default_rng(seed)
+        pos = rng.normal(size=(m, 2)) * 10.0**log_scale + offset
+        render_svg(make_map(np.zeros((m, 1)), positions=pos), path)
+        lo = pos.min(axis=0)
+        scale = 560 / max(float((pos.max(axis=0) - lo).max()), 1e-12)
+        expected = []
+        for x, y in pos:
+            expected += [f"{40 + (x - lo[0]) * scale:.2f}", f"{600 - (y - lo[1]) * scale:.2f}"]
+        assert _canvas_numbers(path) == expected
+
+    check()
 
 
 def test_render_svg_flips_the_y_axis(tmp_path):

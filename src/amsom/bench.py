@@ -82,7 +82,7 @@ def read_config_file(path) -> dict:
     """Parse a flat key = value file (# starts a comment) into a dict of
     strings. A file that cannot be read or decoded raises ConfigError."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     values = {}

@@ -5,8 +5,10 @@ shuffled train/test/validation splitting.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 MISSING_TOKENS = {"", "na", "nan", "?"}
+# Characters per read of the decode pass, which keeps no text it has checked.
+DECODE_CHUNK = 1 << 16
 
 
 def _is_float(cell: str) -> bool:
@@ -60,7 +64,8 @@ def _read_record(path, lineno: int, row: list, label_idx: int | None) -> list | 
 def load_csv(path, label_column: int | str | None = None) -> Dataset:
     """Load a comma-separated numeric dataset.
 
-    A header row is auto-detected when the first row is entirely non-numeric.
+    The file is read as UTF-8, after an optional byte-order mark. A header
+    row is auto-detected when the first row is entirely non-numeric.
     ``label_column`` selects the class column by 0-based index (negative
     counts from the end) or by header name. Rows with missing values (empty
     cells, NA, ?) are skipped and counted; any other unparseable cell is a
@@ -70,33 +75,51 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     fractions, inf, or integers beyond int64) every distinct label string is
     mapped to an integer id by sorted value.
 
-    A file that cannot be read or decoded raises DataError. A label column
-    that does not exist (index out of range, unknown name, or a name without
-    a header row) raises ConfigError: another column argument fixes it.
+    A file that cannot be read or decoded raises DataError, before any fault
+    in its records. A label column that does not exist (index out of range,
+    unknown name, or a name without a header row) raises ConfigError:
+    another column argument fixes it.
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows, lineno = [], 1
-            for row in reader:
-                rows.append((lineno, row))
-                lineno = reader.line_num + 1
+        # Decoding the whole file before parsing any record keeps an
+        # undecodable file's error ahead of every fault the parse can find.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            while fh.read(DECODE_CHUNK):
+                pass
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return _parse_csv(path, csv.reader(fh), label_column)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [(lineno, row) for lineno, row in rows if any(cell.strip() for cell in row)]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
 
-    header = None
-    header_line, first = rows[0][0], [cell.strip() for cell in rows[0][1]]
-    if not any(_is_float(cell) for cell in first):
-        header = first
-        rows = rows[1:]
-        if not rows:
+
+def _next_record(reader) -> tuple[int, list | None]:
+    """The reader's next record with a non-blank cell and the line it
+    starts on, or None in place of the record at the end of the file."""
+    lineno = reader.line_num + 1
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            return lineno, row
+        lineno = reader.line_num + 1
+    return lineno, None
+
+
+def _parse_csv(path, reader, label_column) -> Dataset:
+    """``load_csv`` over a csv reader, one record at a time: the kept
+    records' features go to one float64 buffer, their labels to a list of
+    stripped strings, and nothing else outlives its record."""
+    header_line, row = _next_record(reader)
+    if row is None:
+        raise DataError(f"{path}: no data rows")
+    header, lineno = [cell.strip() for cell in row], header_line
+    if any(_is_float(cell) for cell in header):
+        header = None
+    else:
+        lineno, row = _next_record(reader)
+        if row is None:
             raise DataError(f"{path}: header but no data rows")
 
-    width = len(rows[0][1])
+    width = len(row)
     if header is not None and len(header) != width:
         raise DataError(
             f"{path}: line {header_line}: header has {len(header)} cells, the data rows {width}"
@@ -117,35 +140,47 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
         if not 0 <= label_idx < width:
             raise ConfigError(f"label column {label_column} out of range for {width} columns")
 
-    patterns = []
+    buffer = array("d")
     raw_labels = []
-    skipped = 0
-    for lineno, row in rows:
+    kept = skipped = 0
+    end = lineno - 1
+    # a blank record is dropped uncounted, whatever its width
+    for row in itertools.chain((row,), reader):
+        lineno, end = end + 1, reader.line_num
         if len(row) != width:
+            if not any(cell.strip() for cell in row):
+                continue
             raise DataError(f"{path}: line {lineno}: expected {width} cells, got {len(row)}")
         # One float() per cell, which strips the blanks strip() would: a
         # missing token fails it or reads as NaN, so only records holding
         # one (or a cell that is no number) are read again cell by cell.
-        cells = row if label_idx is None else row[:label_idx] + row[label_idx + 1 :]
+        if label_idx is None:
+            cells, label = row, None
+        else:
+            cells, label = row[:label_idx] + row[label_idx + 1 :], row[label_idx].strip()
         try:
             features = list(map(float, cells))
         except ValueError:
             features = None
-        if features is None or math.isnan(sum(features)):
+        if (
+            features is None
+            or math.isnan(sum(features))
+            or (label is not None and label.lower() in MISSING_TOKENS)
+        ):
+            if not any(cell.strip() for cell in row):
+                continue
             features = _read_record(path, lineno, row, label_idx)
             if features is None:
                 skipped += 1
                 continue
-        elif label_idx is not None and row[label_idx].strip().lower() in MISSING_TOKENS:
-            skipped += 1
-            continue
-        patterns.append(features)
-        if label_idx is not None:
-            raw_labels.append(row[label_idx].strip())
+        buffer.extend(features)
+        kept += 1
+        if label is not None:
+            raw_labels.append(label)
 
     if skipped:
         log.warning("%s: skipped %d rows with missing values", path, skipped)
-    if not patterns:
+    if not kept:
         raise DataError(f"{path}: all rows were skipped")
 
     labels = None
@@ -156,7 +191,8 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
             mapping = {value: i for i, value in enumerate(sorted(set(raw_labels)))}
             labels = np.array([mapping[cell] for cell in raw_labels], dtype=np.int64)
 
-    return Dataset(np.asarray(patterns, dtype=np.float64), labels)
+    d = width - (label_idx is not None)
+    return Dataset(np.frombuffer(buffer, dtype=np.float64).reshape(kept, d), labels)
 
 
 CLUSTER_CENTERS = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])

@@ -225,8 +225,9 @@ def create_initial_map(data: Dataset, config, sizing: Dataset | None = None):
     copy with sigma0 resolved by ``initial_sigma`` when it was unset.
     """
     # weights start inside the data's range and a split scales one by at most
-    # 1.5, so d * (2.5 * max|x|)^2 sizes the squared distances the search sees
-    if 2.5 * np.abs(data.patterns).max() >= math.sqrt(_MAX_SCALE / data.d):
+    # 1.5, so d * (2.5 * max|x|)^2 sizes the squared distances the search sees;
+    # the bound is divided, not max|x| multiplied, which could itself overflow
+    if np.abs(data.patterns).max() >= math.sqrt(_MAX_SCALE / data.d) / 2.5:
         raise DataError("pattern values too large: squared distances would overflow")
     src = sizing if sizing is not None else data
     target = target_neuron_count(src.n)

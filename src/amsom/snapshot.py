@@ -118,8 +118,9 @@ def snapshot_to_map(payload: dict) -> MapState:
     """Rebuild a MapState from a snapshot dict.
 
     Every array is checked for shape and type, every edge for joining two
-    distinct neurons and the optional labels for one class id (or null) per
-    neuron, before anything is indexed; the rebuilt map must then pass
+    distinct neurons and for being listed once in either orientation, and
+    the optional labels for one class id (or null) per neuron, before
+    anything is indexed; the rebuilt map must then pass
     ``MapState.validate``. Any violation raises DataError.
     """
     if not isinstance(payload, dict):
@@ -135,6 +136,12 @@ def snapshot_to_map(payload: dict) -> MapState:
     win_count = _field(payload, "win_counts", (m,), np.int64)
     if np.any((a < 0) | (a >= m) | (b < 0) | (b >= m) | (a == b)):
         raise DataError(f"snapshot edges must join two distinct neurons in [0, {m})")
+    # a pair listed twice, in either orientation, would keep whichever age
+    # the repeated-index assignment below writes last
+    pairs, counts = np.unique(np.minimum(a, b) * m + np.maximum(a, b), return_counts=True)
+    if np.any(counts > 1):
+        i, j = divmod(int(pairs[counts > 1][0]), m)
+        raise DataError(f"snapshot lists edge ({i}, {j}) more than once")
     labels = payload.get("neuron_labels")
     if labels is not None and (
         not isinstance(labels, list)
@@ -161,7 +168,7 @@ def load_snapshot(path) -> tuple[MapState, dict]:
     raises DataError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read snapshot {path}: {exc}") from exc

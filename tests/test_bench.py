@@ -545,6 +545,16 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     rows = (rng.normal(size=(60, 2)) * 1e155).tolist()
     huge.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
     assert main(["train", str(huge), "--out", str(tmp_path / "huge.json")]) == 2
+    # ... also near the float maximum, where 2.5 * max|x| would itself overflow
+    huge.write_text("a,b\n1e308,1e308\n-1e308,-1e308\n1e307,5\n0,0\n")
+    assert main(["train", str(huge), "--out", str(tmp_path / "huge.json")]) == 2
+    assert "pattern values too large" in capsys.readouterr().err
+
+    # a CSV with a label column and no feature column has no patterns to train on
+    label_only = tmp_path / "label_only.csv"
+    label_only.write_text("label\nx\ny\n")
+    assert main(["train", str(label_only), "--label-column", "label"]) == 2
+    assert "dataset needs at least one pattern and one feature" in capsys.readouterr().err
 
     # a structurally broken snapshot is malformed input data
     out = tmp_path / "map.json"
@@ -583,6 +593,11 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     latin1.write_bytes(blob_csv.read_bytes().replace(b"x,y", b"x,\xe9"))
     assert main(["train", str(latin1)]) == 2
     assert main(["train", str(tmp_path)]) == 2
+    # ... before any fault in its records, even past the first rows read
+    late = tmp_path / "late.csv"
+    late.write_bytes(b"a,b\n" + b"1.0,2.0\n" * 10000 + b"\xff\xfe,5\n")
+    assert main(["train", str(late), "--label-column", "nosuch"]) == 2
+    assert "cannot read" in capsys.readouterr().err
     latin1_map = tmp_path / "latin1.json"
     latin1_map.write_bytes(b'{"weights": "\xe9"}')
     assert main(["render", str(latin1_map)]) == 2
@@ -608,6 +623,23 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     spec.write_text(f"dataset = {blob_csv}\nruns = 1\nmax_epochs = 5\nsmooth_max_epochs = 5\n")
     assert main(["bench", str(spec), "--out", str(blob_csv)]) == 1
     capsys.readouterr()  # keep the error lines out of the test log
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("1.0,2.0\n3.0,4.5\n5.0,6.0\n7.0,8.0\n", "none"),
+     ("label,a,b\nx,1,2\ny,3,4\nx,5,6\ny,7,8\n", "label")],
+    ids=["headerless", "header"],
+)
+def test_cli_train_reads_a_csv_that_begins_with_a_byte_order_mark(text, column, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    out = tmp_path / "map.json"
+    args = ["train", str(path), "--label-column", column, "--out", str(out),
+            "--set", "max_epochs=5", "--set", "smooth_max_epochs=5"]
+    assert main(args) == 0
+    _, payload = load_snapshot(out)
+    assert len(payload["weights"][0]) == 2
 
 
 def test_cli_train_checks_its_output_path_before_training(blob_csv, tmp_path, monkeypatch, capsys):

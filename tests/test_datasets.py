@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ def test_load_csv_unreadable_file_is_a_data_error(tmp_path):
     for path in [tmp_path / "missing.csv", tmp_path, latin1]:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(path)
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_the_patterns(tmp_path):
+    # the loader keeps one float64 buffer and the label strings, not every
+    # record's cells and floats until the end of the file
+    n, d = 10000, 16
+    rng = np.random.default_rng(5)
+    rows = zip(rng.normal(size=(n, d)).tolist(), rng.integers(0, 8, n).tolist())
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        ",".join(f"x{j}" for j in range(d))
+        + ",label\n"
+        + "".join(",".join(map(repr, row)) + f",{label}\n" for row, label in rows)
+    )
+    tracemalloc.start()
+    try:
+        data = load_csv(path, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.patterns.shape == (n, d) and data.labels.shape == (n,)
+    assert peak < 3 * n * d * 8 + (1 << 20)
 
 
 def test_load_csv_integer_valued_labels_pass_through(tmp_path):

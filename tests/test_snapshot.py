@@ -17,6 +17,7 @@ from amsom.snapshot import (
     load_snapshot,
     render_svg,
     snapshot_dict,
+    snapshot_to_map,
 )
 
 from conftest import make_map
@@ -117,6 +118,8 @@ MALFORMED = {
     "neuron_count true": lambda p: p.__setitem__("neuron_count", True),
     "neuron_count float": lambda p: p.__setitem__("neuron_count", 2.0),
     "ragged weights": lambda p: p["weights"][1].append(0.0),
+    "edge listed reversed too": lambda p: p["edges"].append([1, 0, 2]),
+    "edge listed twice": lambda p: p["edges"].append([1, 2, 4]),
 }
 
 
@@ -131,6 +134,17 @@ def test_render_rejects_a_malformed_snapshot_as_a_data_error(fault, tmp_path, ca
     assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "map.svg").exists()
+
+
+def test_snapshot_edge_listed_twice_is_named_and_one_reversed_entry_is_kept():
+    ms = make_map([[1.0], [2.0], [3.0]], edges=[(0, 1, 2), (1, 2, 0)])
+    payload = json.loads(json.dumps(snapshot_dict(ms)))
+    payload["edges"] = [[1, 0, 2], [2, 1, 0]]
+    rebuilt = snapshot_to_map(payload)
+    assert np.array_equal(rebuilt.edges, ms.edges) and np.array_equal(rebuilt.ages, ms.ages)
+    payload["edges"].append([1, 2, 7])
+    with pytest.raises(DataError, match=r"edge \(1, 2\) more than once"):
+        snapshot_to_map(payload)
 
 
 def test_render_rejects_a_snapshot_that_is_not_an_object(tmp_path, capsys):

@@ -142,8 +142,9 @@ def _minmax_scaled(reference: Dataset, targets: list) -> list:
 @dataclass
 class _Paired:
     """One paired run between its stages (trained, smoothed, finished): its
-    splits, resolved config, both maps and each phase's reports, which its
-    ``progress`` hooks collect and show to the experiment's epoch hook."""
+    splits, resolved config, both maps and each phase's epoch count, which
+    its ``progress`` hooks raise before showing each report to the
+    experiment's epoch hook."""
 
     train_data: Dataset
     test_data: Dataset
@@ -151,19 +152,17 @@ class _Paired:
     amsom_map: MapState
     som_map: MapState
     epoch_hook: object = None
-    reports: dict = field(default_factory=lambda: {"train": [], "smooth": [], "baseline": []})
+    epochs: dict = field(default_factory=lambda: {"train": 0, "smooth": 0, "baseline": 0})
 
     def progress(self, phase: str):
-        kept = self.reports[phase]
-        if self.epoch_hook is None:
-            return kept.append
         map_state = self.som_map if phase == "baseline" else self.amsom_map
 
-        def show(report):
-            kept.append(report)
-            self.epoch_hook(map_state, report, phase)
+        def count(report):
+            self.epochs[phase] += 1
+            if self.epoch_hook is not None:
+                self.epoch_hook(map_state, report, phase)
 
-        return show
+        return count
 
 
 def _train_paired(train_data, test_data, config, sizing, epoch_hook) -> _Paired:
@@ -184,7 +183,6 @@ def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
     train_batch_som(
         paired.train_data, paired.som_map, paired.cfg, progress=paired.progress("baseline")
     )
-    epochs = {phase: len(reports) for phase, reports in paired.reports.items()}
 
     def fit(map_state, train_epochs, smooth_epochs):
         on_train = quality_report(paired.train_data, map_state)
@@ -201,6 +199,7 @@ def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
         }
         return map_state, on_train.neuron_labels, record
 
+    epochs = paired.epochs
     return paired.cfg, {
         "amsom": fit(paired.amsom_map, epochs["train"], epochs["smooth"]),
         "som": fit(paired.som_map, epochs["baseline"], 0),

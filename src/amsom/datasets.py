@@ -76,9 +76,11 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     mapped to an integer id by sorted value.
 
     A file that cannot be read or decoded raises DataError, before any fault
-    in its records. A label column that does not exist (index out of range,
-    unknown name, or a name without a header row) raises ConfigError:
-    another column argument fixes it.
+    in its records. So does a record the csv module rejects (a cell over its
+    field size limit, or a NUL byte where the module refuses one), naming the
+    line the reader stopped on. A label column that does not exist (index
+    out of range, unknown name, or a name without a header row) raises
+    ConfigError: another column argument fixes it.
     """
     path = Path(path)
     try:
@@ -88,7 +90,11 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
             while fh.read(DECODE_CHUNK):
                 pass
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            return _parse_csv(path, csv.reader(fh), label_column)
+            reader = csv.reader(fh)
+            try:
+                return _parse_csv(path, reader, label_column)
+            except csv.Error as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

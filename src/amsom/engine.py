@@ -252,7 +252,7 @@ def _pull(state, t, bins, k, pull, rate) -> None:
     ``t``. ``bins`` numbers the flattened (pair, coordinate) entries by
     (target, coordinate), so one ``np.bincount`` sums every coordinate in
     pair order, not in a BLAS order. Targets whose weights sum to zero keep
-    their row. ``rate`` is a scalar or one value per row, as a column."""
+    their row. ``rate`` holds one value per row, as a column."""
     m, dim = state.shape
     den = np.bincount(t, weights=k, minlength=m)
     num = np.bincount(bins, weights=(k[:, None] * pull).ravel(), minlength=m * dim)
@@ -779,19 +779,11 @@ def smooth_runs(runs):
     return lockstep.reports
 
 
-def _spread(values: list, counts: list):
-    """Each run's value repeated over its ``counts`` entries; a value every
-    run shares stays one scalar."""
-    if all(value == values[0] for value in values):
-        return values[0]
-    return np.repeat(np.array(values, dtype=np.float64), counts)
-
-
 class _Lockstep:
     """The runs of ``smooth_runs`` as one problem of concatenated arrays,
     stepped one epoch at a time for the live ones. The kernel widths and the
-    rate are stored per pair and per neuron (a value every run shares stays
-    a scalar); the winner search is one ``PrunedSearch`` over all the runs.
+    rate are stored per pair and per neuron; the winner search is one
+    ``PrunedSearch`` over all the runs, whose run starts lay out the rest.
     Each live map's weights and positions are views into the shared arrays,
     which the epoch updates in place. When a run leaves, the others are
     joined again into new arrays, and the one that left keeps views that
@@ -833,8 +825,14 @@ class _Lockstep:
         runs = [self.runs[i] for i in self.live]
         fixed = [self.fixed[i] for i in self.live]
         maps = [map_state for _, map_state, _, _ in runs]
+        n = [data.n for data, _, _, _ in runs]
         m = [map_state.m for map_state in maps]
-        first = (np.cumsum(m) - m).tolist()
+        self.data = runs[0][0] if len(runs) == 1 else Dataset(
+            np.concatenate([data.patterns for data, _, _, _ in runs])
+        )
+        self.search = PrunedSearch(self.data, list(zip(n, m)))
+        first = self.search.neuron_starts.tolist()
+        self.spans = [(a, a + size) for a, size in zip(self.search.row_starts.tolist(), n)]
         self.w = w = np.concatenate([map_state.weights for map_state in maps])
         self.r = r = np.concatenate([map_state.positions for map_state in maps])
         for map_state, a, size in zip(maps, first, m):
@@ -850,17 +848,9 @@ class _Lockstep:
         self.s, self.s_off = s, s_off
         self.pairs = (t, s, off, t_off, s_off, w_bins, r_bins)
         pairs = [f[0].size for f in fixed]
-        self.neg_sigma2 = _spread([f[2] for f in fixed], pairs)
-        self.neg_width2 = _spread([f[3] for f in fixed], [p - size for p, size in zip(pairs, m)])
-        rate = _spread([config.alpha_smooth for _, _, config, _ in runs], m)
-        self.rate = rate[:, None] if isinstance(rate, np.ndarray) else rate
-
-        n = [data.n for data, _, _, _ in runs]
-        self.data = runs[0][0] if len(runs) == 1 else Dataset(
-            np.concatenate([data.patterns for data, _, _, _ in runs])
-        )
-        self.spans = [(a, a + size) for a, size in zip((np.cumsum(n) - n).tolist(), n)]
-        self.search = PrunedSearch(self.data, list(zip(n, m)))
+        self.neg_sigma2 = np.repeat([f[2] for f in fixed], pairs)
+        self.neg_width2 = np.repeat([f[3] for f in fixed], np.subtract(pairs, m))
+        self.rate = np.repeat([config.alpha_smooth for _, _, config, _ in runs], m)[:, None]
         self.asg = self.search.assign(w)
         # the winner statistics gathered at the sources; the data and m are
         # fixed, so they change only when the winners do

@@ -625,6 +625,20 @@ def test_cli_exit_codes(blob_csv, tmp_path, capsys):
     capsys.readouterr()  # keep the error lines out of the test log
 
 
+# Python 3.10's csv module rejects a line holding a NUL byte ("line contains
+# NUL"); later versions read the cell, and it is no number
+@pytest.mark.parametrize(
+    "text",
+    [b"a,b\n1,2\n3," + b"4" * 200_000 + b"\n5,6\n", b"a,b\n1,2\n3,4\x005\n5,6\n7,8\n"],
+    ids=["cell-over-the-field-limit", "nul-in-a-number"],
+)
+def test_cli_train_reports_a_record_the_csv_module_rejects_as_a_data_error(text, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    assert main(["train", str(path), "--out", str(tmp_path / "map.json")]) == 2
+    assert f"{path}: line 3: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, column",
     [("1.0,2.0\n3.0,4.5\n5.0,6.0\n7.0,8.0\n", "none"),

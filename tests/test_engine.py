@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -1525,6 +1526,25 @@ def test_smooth_freezes_the_structure(iris):
     assert not np.array_equal(ms.weights, w_before)  # it did adapt
     assert 1 <= len(reports) <= 60
     assert reports[-1].mqe <= reports[0].mqe + 1e-9
+
+
+def test_smooth_on_zero_length_edges_uses_sigma_final():
+    # every edge joins two neurons at one position: the median edge length
+    # is 0, and a kernel width of 0 would divide 0 by 0
+    ms = make_map(
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        positions=[[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0]],
+        edges=[(0, 1), (2, 3)],
+    )
+    data = Dataset([[0.1, 0.0], [0.9, 0.1], [0.0, 0.8], [1.0, 0.9], [0.5, 0.5]])
+    cfg = TrainConfig(sigma_final=0.7, smooth_max_epochs=5)
+    lockstep = engine._Lockstep([(data, ms, cfg, None)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (reports,) = lockstep.run()
+    assert lockstep.fixed[0][2] == -(cfg.sigma_final * cfg.sigma_final)
+    assert len(reports) >= 1
+    assert np.isfinite(ms.weights).all() and np.isfinite(ms.positions).all()
 
 
 def test_smooth_stops_when_the_error_settles():

@@ -238,14 +238,10 @@ def _exact_block(patterns: np.ndarray, weights: np.ndarray):
 
 
 def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
-    """Winner, runner-up, winner distance and third-smallest squared distance by brute force.
-
-    Forms every difference ``p - w`` and sums its squares over d, in blocks
-    of rows that keep the difference array under CHUNK entries. This is the
-    reference that ``assign_all`` reproduces bit for bit, and the path it
-    takes for maps of at most two neurons and for rows whose shortlist is
-    too close to call. The runner-up is -1 and the third distance inf when
-    m = 1.
+    """Winner, runner-up (-1 when m = 1), winner distance and third-smallest
+    squared distance (inf when m = 1) by brute force, summing the squares of
+    every ``p - w`` over d in blocks under CHUNK entries: the reference that
+    ``assign_all`` reproduces bit for bit, and its search of a one-neuron map.
     """
     m, d = weights.shape
     return _in_blocks(_exact_block, (patterns,), max(1, CHUNK // (m * d)), weights)
@@ -275,62 +271,87 @@ def _bound(third: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.minimum(third, _MAX_SCALE) - 2.0 * tol, 0.0))
 
 
-def _search_block(block: np.ndarray, ones: np.ndarray, weights: np.ndarray, w_aug, w_sq_max):
-    """``_search`` of one block of rows. ``ones`` is the block with a column
-    of ones appended and ``w_aug`` stacks -2 W^T over the squared weight
-    norms, so one GEMM makes every score |w|^2 - 2 p.w, with no pass over
-    the scores to add the norms. Scaling by a power of two moves no rounding
-    short of underflow. A score is a dot product of d + 1 terms whose
-    magnitudes sum to 2 |p||w| + |w|^2 <= 2 (|p|^2 + max |w|^2), and the
-    norm it adds is itself within d eps |w|^2, so to first order in eps it
-    is off by at most (3 d + 2) eps scale, scale = |p|^2 + max |w|^2, in any
-    summation order: inside the ``tol`` of 8 (d + 2) eps scale, which
-    certifies every winner either way. After the best two scores are masked
-    out, the third is read at its ``argmin``, the value ``min`` would give."""
-    d = weights.shape[1]
-    rows = np.arange(block.shape[0])
+def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
+    """Winner, runner-up, winner distance and a lower bound on each row's
+    distance to every other neuron of its run, for a batch of runs of two
+    neurons or more: ``rows`` counts each run's consecutive rows, ``own``
+    lists its neurons, ascending, padded with index m; by default one run
+    holds everything (``assign_all``'s batch of one, which may have one
+    neuron: then brute force, inf bounds). Indices count all runs' neurons.
 
-    # squared distance minus |p|^2, within tol of its true value
-    g = ones @ w_aug
-    a = g.argmin(axis=1)
-    g[rows, a] = np.inf
-    b = g.argmin(axis=1)
-    g_b = g[rows, b]
-    g[rows, b] = np.inf
-    g_c = g[rows, g.argmin(axis=1)]
-
-    cand = np.empty((rows.size, 2), dtype=np.int64)
-    np.minimum(a, b, out=cand[:, 0])
-    np.maximum(a, b, out=cand[:, 1])
-    winner, second, dist, _ = _pair(block, weights, cand)
-
-    p_sq = np.einsum("nd,nd->n", block, block)
-    scale = p_sq + w_sq_max
-    tol = _tol(scale, d)
-    third = g_c + p_sq
-    slow = (~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE))).nonzero()[0]
-    if slow.size:
-        winner[slow], second[slow], dist[slow], third[slow] = _exact_rows(block[slow], weights)
-    return winner, second, dist, _bound(third, tol)
-
-
-def _search(patterns: np.ndarray, weights: np.ndarray):
-    """The search of ``assign_all``: winner, runner-up, winner distance and
-    a lower bound on each row's distance to every other neuron, from its
-    third-best score (or brute-force distance); inf when m <= 2."""
-    n, d = patterns.shape
-    m = weights.shape[0]
-    if m <= 2:
+    The runs are stacked as (runs, R_max, d + 1) @ (runs, d + 1, m_max), in
+    blocks of at most CHUNK scores: [p, 1] per row, runs padded with zero
+    rows, against each run's [-2 W^T; |w|^2], padded with zero weights of
+    inf norm, which score +inf. Padded rows are dropped at the end; a batch
+    without padding adds no pass over the scores. A score sums d + 1 terms
+    of magnitude at most 2 scale, scale = |p|^2 + its run's max |w|^2, and
+    the norm is within d eps |w|^2, so it is off by at most (3 d + 2) eps
+    scale in any summation order (scaling by two moves no rounding): inside
+    ``tol``, 8 (d + 2) eps scale. The best two are recomputed by ``_pair``;
+    a row whose third best score is not clear of the second by 2 ``tol`` is
+    searched by ``_among``. Only the bound, from the third best score or
+    distance, depends on the blocking.
+    """
+    (n, d), m = patterns.shape, weights.shape[0]
+    if m == 1:
         return (*_exact_rows(patterns, weights)[:3], np.full(n, np.inf))
-    w_aug = np.empty((d + 1, m))
-    np.multiply(weights.T, -2.0, out=w_aug[:d])
-    w_sq = np.einsum("md,md->m", weights, weights, out=w_aug[d])
-    ones = np.empty((n, d + 1))
-    ones[:, :d] = patterns
+    if own is None:
+        rows, own = [n], np.arange(m)[None]
+    k, m_max = own.shape
+    r_max = max(rows)
+    # [-2 W^T; |w|^2] of every neuron, and in column m a zero weight whose
+    # norm turns inf once each run's largest norm is read
+    w_aug = np.empty((d + 1, m + 1))
+    np.multiply(weights.T, -2.0, out=w_aug[:d, :m])
+    np.einsum("md,md->m", weights, weights, out=w_aug[d, :m])
+    w_aug[:, m] = 0.0
+    w_sq_max = w_aug[d].take(own).max(axis=1, keepdims=True)
+    w_aug[d, m] = np.inf
+    w_aug = w_aug.take(own, axis=1).transpose(1, 0, 2)
+    # run r's row j in slot (r, j); the slots past a run's rows hold zeros
+    real = slice(None) if n == k * r_max else (np.arange(r_max) < np.array(rows)[:, None]).ravel()
+    ones = np.zeros((k * r_max, d + 1))
     ones[:, d] = 1.0
-    return _in_blocks(
-        _search_block, (patterns, ones), max(1, CHUNK // m), weights, w_aug, w_sq.max()
-    )
+    ones[real, :d] = patterns
+    ones = ones.reshape(k, r_max, d + 1)
+
+    def block(part: np.ndarray):
+        # squared distance minus |p|^2 of each slot, within tol; the third
+        # best is read at its argmin once the best two are masked out
+        g = (part @ w_aug).reshape(-1, m_max)
+        slots = np.arange(g.shape[0])
+        a = g.argmin(axis=1)
+        g[slots, a] = np.inf
+        b = g.argmin(axis=1)
+        g_b = g[slots, b]
+        g[slots, b] = np.inf
+        g_c = g[slots, g.argmin(axis=1)]
+        cand = np.empty((k, part.shape[1], 2), dtype=np.int64)
+        np.minimum(a, b, out=cand[..., 0].reshape(-1))
+        np.maximum(a, b, out=cand[..., 1].reshape(-1))
+        cand += own[:, :1, None]
+        p = part[..., :d].reshape(-1, d)
+        winner, second, dist, _ = _pair(p, weights, cand.reshape(-1, 2))
+        p_sq = np.einsum("nd,nd->n", p, p)
+        scale = (p_sq.reshape(k, -1) + w_sq_max).reshape(-1)
+        tol = _tol(scale, d)
+        # only a slot past _MAX_SCALE can overflow here, and _among searches it
+        with np.errstate(over="ignore", invalid="ignore"):
+            third = g_c + p_sq
+            slow = (~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE))).nonzero()[0]
+        if slow.size:
+            found = _among(p[slow], weights, own.take(slow // part.shape[1], axis=0))
+            winner[slow], second[slow], dist[slow], third[slow] = found
+        return winner, second, dist, _bound(third, tol)
+
+    step = max(1, CHUNK // (k * m_max))
+    if step >= r_max:
+        found = block(ones)
+    else:
+        blocks = zip(*(block(ones[:, lo : lo + step]) for lo in range(0, r_max, step)))
+        found = (np.concatenate([x.reshape(k, -1) for x in parts], axis=1) for parts in blocks)
+    # the slots in order are the rows, once the padded ones are dropped
+    return tuple(x.reshape(-1)[real] for x in found)
 
 
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:
@@ -341,15 +362,10 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     single-neuron map). ``dist`` is the squared distance to the winner.
 
     Exactness: the result is bit-identical to the brute-force search
-    ``_exact_rows`` (squared differences summed over d for every pair).
-    Patterns are scored in blocks of ``max(1, CHUNK // m)`` rows with one
-    GEMM, ``[p, 1] @ [-2 W^T; |w|^2]``; the two best scores are recomputed
-    by the brute-force formula and ordered by (distance, index). A row whose third
-    best score is not clear of the second by twice the rounding bound
-    ``8 (d + 2) eps (|p|^2 + max |w|^2)`` cannot be decided from the scores
-    and is searched by brute force instead, as are all rows of a map with at
-    most two neurons. Working memory beyond the O(n) result is O(chunk * m),
-    at most CHUNK entries per block, never O(n * m * d).
+    ``_exact_rows`` (squared differences summed over d for every pair). It
+    is the batch of one of the chunked GEMM search ``_search``; working
+    memory beyond the O(n) result is at most CHUNK entries per block, never
+    O(n * m * d).
     """
     if data.d != map_state.d:
         raise DataError(f"dataset d={data.d} does not match map d={map_state.d}")
@@ -376,13 +392,9 @@ def _among(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray):
     return _in_blocks(block, (patterns, cand), max(1, CHUNK // (cand.shape[1] * d)))
 
 
-# PrunedSearch sends the rows it searches again to one brute-force call
-# against each row's own run, its neurons padded to the largest run, while
-# their padded work is at most EXACT_ROUTE per run (and CHUNK in all); past
-# that each run's rows take the brute-force _exact_rows while rows * m * d
-# is at most EXACT_ROUTE, else the GEMM search. With one BLAS thread on a
-# 2-core x86 host the two cross between 4800 and 8100 entries at m=150, d=2,
-# and between 8260 and 11800 at m=59, d=4.
+# PrunedSearch's padded brute-force budget per run; past it one batched GEMM
+# search. Without it perfbench's iris-protocol (5 runs, m ~ 60, d = 4, ~23
+# rows searched again per epoch) was slower in 9 of 10 alternating pairs.
 EXACT_ROUTE = 8192
 
 
@@ -403,10 +415,8 @@ class PrunedSearch:
     run of one, ``[(data.n, m)]``. A row is searched among its own run's
     neurons only, the movement and ``tol`` are each run's own (a maximum is
     exact), and the indices returned count the neurons of all runs in order.
-    Rows searched again share one brute-force call against their runs'
-    weights padded with inf to the largest run; past ``EXACT_ROUTE`` per
-    run, each run's rows take their own search. A pair needs two neurons, so
-    a run of fewer raises MapStructureError.
+    All runs' rows searched again take one search call. A pair needs two
+    neurons, so a run of fewer raises MapStructureError.
     """
 
     def __init__(self, data: Dataset, runs):
@@ -424,7 +434,7 @@ class PrunedSearch:
         self.p_sq_max = np.maximum.reduceat(p_sq, self.row_starts)
         self.run_of_row = np.repeat(np.arange(self.runs), rows)
         # each run's neurons in a row, ascending, padded with index m, the
-        # inf neuron of _among
+        # inf neuron of _among and an inf score column of _search
         local = np.arange(self.neurons.max())
         self.padded = np.where(
             local < self.neurons[:, None],
@@ -456,45 +466,21 @@ class PrunedSearch:
         winner, second, dist, far = _pair(patterns, weights, self.pair)
         redo = (~((bound > 0.0) & (far + tol < bound * bound))).nonzero()[0]
         if redo.size:
-            for rows, again in self._search_again(redo, weights, tol):
-                for whole, part in zip((winner, second, dist, bound), again):
-                    whole[rows] = part
-                self.pair[rows, 0] = np.minimum(again[0], again[1])
-                self.pair[rows, 1] = np.maximum(again[0], again[1])
+            # every run's rows in one call: padded brute force while that
+            # work is within EXACT_ROUTE per run, else the batched GEMM search
+            run = self.run_of_row.take(redo)
+            if redo.size * self.padded.shape[1] * d <= min(EXACT_ROUTE * self.runs, CHUNK):
+                *found, third = _among(patterns[redo], weights, self.padded.take(run, axis=0))
+                found = (*found, _bound(third, tol.take(redo)))
+            else:
+                rows = np.bincount(run, minlength=self.runs)
+                some = rows.nonzero()[0]
+                found = _search(patterns[redo], weights, rows[some].tolist(), self.padded[some])
+            for whole, part in zip((winner, second, dist, bound), found):
+                whole[redo] = part
+            self.pair[redo, 0] = np.minimum(found[0], found[1])
+            self.pair[redo, 1] = np.maximum(found[0], found[1])
         return Assignment(winner, second, dist, m)
-
-    def _search_again(self, redo: np.ndarray, weights: np.ndarray, tol: np.ndarray) -> list:
-        """``(rows, (winner, second, dist, bound))`` for the rows ``redo``:
-        of all of them from one padded search, or of each run's rows from
-        its own."""
-        patterns = self.patterns
-        if redo.size * self.padded.shape[1] * weights.shape[1] <= min(
-            EXACT_ROUTE * self.runs, CHUNK
-        ):
-            own = self.padded.take(self.run_of_row.take(redo), axis=0)
-            *found, third = _among(patterns[redo], weights, own)
-            return [(redo, (*found, _bound(third, tol[redo])))]
-        found = []
-        cuts = np.searchsorted(redo, self.row_starts).tolist() + [redo.size]
-        for run, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if lo < hi:
-                rows, a = redo[lo:hi], self.neuron_starts[run]
-                own = weights[a : a + self.neurons[run]]
-                winner, second, dist, bound = _search_run(patterns[rows], own, tol[rows])
-                found.append((rows, (winner + a, second + a, dist, bound)))
-        return found
-
-
-def _search_run(patterns: np.ndarray, weights: np.ndarray, tol):
-    """Winner, runner-up, winner distance and bound of rows searched again
-    against one run's weights: by brute force while rows * m * d is at most
-    EXACT_ROUTE, with the bound from the third distance within ``tol``, else
-    by the GEMM search."""
-    m, d = weights.shape
-    if patterns.shape[0] * m * d <= EXACT_ROUTE:
-        *found, third = _exact_rows(patterns, weights)
-        return (*found, _bound(third, tol))
-    return _search(patterns, weights)
 
 
 def winner_means(data: Dataset, assignment: Assignment) -> np.ndarray:

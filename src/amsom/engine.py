@@ -48,7 +48,8 @@ class TrainConfig:
     remaining decay is retargeted at the map's own cell width, which on an
     undeformed lattice is sigma_final itself. Building a config, directly or
     through ``dataclasses.replace``, checks every field (ConfigError), kinds
-    too: a bool or text for a number, or a float for an integer, is rejected.
+    too: a bool or text for a number, a float for an integer, or a sigma
+    whose sigma^2 or gamma sigma^2 is not a positive normal float.
     """
 
     sf: float = 0.5
@@ -89,6 +90,11 @@ class TrainConfig:
             raise ConfigError("sigma_final must be positive")
         if self.sigma0 is not None and self.sigma0 < self.sigma_final:
             raise ConfigError("sigma0 must be >= sigma_final")
+        for name in ("sigma0", "sigma_final"):
+            sigma = getattr(self, name)
+            if sigma is not None and not _normal_widths(sigma, self.gamma):
+                raise ConfigError(f"{name}={sigma}, gamma={self.gamma}: sigma^2 or gamma "
+                                  "sigma^2 is not a positive normal float64")
         if self.topology not in MAX_DEGREE:
             raise ConfigError(f"unknown topology {self.topology!r}")
         if self.beta_mode not in ("gaussian", "zero"):
@@ -101,6 +107,13 @@ class TrainConfig:
         if self.q_max is not None:
             return self.q_max
         return MAX_DEGREE[self.topology]
+
+
+def _normal_widths(sigma: float, gamma: float) -> bool:
+    """Whether sigma^2 and gamma sigma^2, as the kernels form them, are
+    positive normal floats; a zero, subnormal or inf width would not do."""
+    tiny = np.finfo(np.float64).tiny
+    return all(tiny <= width < math.inf for width in (sigma * sigma, gamma * sigma * sigma))
 
 
 @dataclass
@@ -515,14 +528,14 @@ def _cell_width_sigma(map_state: MapState, config: TrainConfig) -> float:
     lattice. Position updates only ever pull neurons toward each other, so a
     trained layout is somewhat contracted and its actual cell width is the
     median edge length. Returns that width capped at sigma_final; on a rigid
-    unit lattice this is sigma_final exactly.
+    unit lattice this is sigma_final exactly, as for a width not normal.
     """
     i, j = map_state.edge_pairs()
     if i.size == 0:
         return float(config.sigma_final)
     gaps = map_state.positions[i] - map_state.positions[j]
     width = float(_median(np.sqrt(np.einsum("ed,ed->e", gaps, gaps))))
-    if width <= 0.0:
+    if not _normal_widths(width, config.gamma):
         return float(config.sigma_final)
     return min(float(config.sigma_final), width)
 
@@ -770,8 +783,8 @@ def smooth_runs(runs):
     finish, and its error is then raised with the run's index in ``runs``
     as its ``run`` attribute. The runs share one input dimension, their
     maps' (DataError, before any map changes). The winner search is one
-    ``PrunedSearch`` over the live runs, rebuilt when a run leaves. Each
-    map's weights and positions become views into the batch's arrays.
+    ``PrunedSearch`` over the live runs (one search call per epoch), rebuilt
+    when a run leaves. Each map's weights and positions are batch views.
     """
     lockstep = _Lockstep(runs)
     if lockstep.runs:

@@ -689,6 +689,25 @@ def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):
     assert payload["config"]["sigma0"] == payload["config"]["sigma_final"] == 8.0
 
 
+@pytest.mark.parametrize("setting", ["sigma_final=1e-200", "gamma=1e-308"])
+def test_cli_train_rejects_a_kernel_width_that_is_not_normal(setting, tmp_path):
+    # sigma_final^2 underflows to zero and gamma * sigma^2 is subnormal: the
+    # kernels would divide by zero or overflow, so the config is rejected
+    # (exit 1) before training, under warnings as errors too
+    script = "import sys; from amsom.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["train", str(IRIS_CSV), "--label-column", "species", "--set", setting,
+            "--set", "max_epochs=5", "--out", str(tmp_path / "map.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "positive normal" in proc.stderr
+    with pytest.raises(ConfigError, match="positive normal"):
+        TrainConfig(sigma0=1e200)
+
+
 def test_cli_label_column_none_means_no_labels(blob_csv, tmp_path):
     # the command line reads a label column the way a spec file does
     out = tmp_path / "map.json"

@@ -1,9 +1,10 @@
 """Exit-code fuzz at the command-line boundary.
 
-Whatever a CSV, a ``--set`` pair or a snapshot holds, ``amsom train`` and
-``amsom render`` end with exit 0 (success), 1 (configuration error) or 2
-(data error), never with exit 3, which is kept for internal faults. The
-profile is fixed and derandomized, so every run tries the same examples.
+Whatever a CSV, a ``--set`` pair, a ``--config`` file, a bench spec file or
+a snapshot holds, ``amsom train``, ``amsom bench`` and ``amsom render`` end
+with exit 0 (success), 1 (configuration error) or 2 (data error), never
+with exit 3, which is kept for internal faults. The profile is fixed and
+derandomized, so every run tries the same examples.
 """
 
 import json
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from amsom.bench import ExperimentSpec
 from amsom.cli import main
 from amsom.engine import TrainConfig
 from amsom.snapshot import snapshot_dict
 
-from conftest import make_map
+from conftest import IRIS_CSV, make_map
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -118,6 +120,97 @@ def test_train_exits_0_1_or_2_on_any_csv_and_set_pairs(cell, capsys):
                 argv += ["--label-column", label_column]
             for item in items:
                 argv += ["--set", item]
+            _check_exit_code(argv + ["--set", "max_epochs=2", "--set", "smooth_max_epochs=1"], capsys)
+
+        check()
+
+
+# A flat key = value file (a --config file or a bench spec) is fuzzed line
+# by line: typed values of known keys, any value, unknown keys, a line
+# without "=", comments, blank lines and invalid UTF-8, with keys repeated
+# at random (the last one wins). The epoch caps and the run count are kept
+# tiny: a file sets them first, and the values drawn for them later are
+# out of range, of the wrong kind or tiny, never a long run.
+CAPPED = {"runs": "1", "max_epochs": "2", "smooth_max_epochs": "1"}
+CAPPED_VALUES = st.sampled_from(["-1", "0", "1", "2", "1.0", "2.5", "x", "", "none", "nan", "1e3"])
+SPEC_FIELDS = {
+    name: f.type for name, f in ExperimentSpec.__dataclass_fields__.items() if name != "config"
+}
+SPEC_VALUES = {
+    "train_frac": st.sampled_from(["0.6", "0", "-0.1", "1", "0.2", "nan", "inf", "x", "0.6 0.2"]),
+    "test_frac": st.sampled_from(["0.2", "0", "0.4", "1e-9", "nan", "-inf", ""]),
+    "val_frac": st.sampled_from(["0.2", "0", "0.5", "1e308", "none", "true"]),
+    "label_column": st.sampled_from(["none", "null", "species", "4", "0", "-1", "9", "x", " 4 ", ""]),
+    "normalize": st.sampled_from(["true", "false", "yes", "0", "1", "maybe", ""]),
+}
+
+
+def _line_values(key: str):
+    if key in CAPPED:
+        return CAPPED_VALUES
+    if key in SPEC_VALUES:
+        return SPEC_VALUES[key]
+    field_type = FIELDS[key].type if key in FIELDS else SPEC_FIELDS[key]
+    return st.one_of(*(KIND_VALUES[kind] for kind in field_type.split(" | ")))
+
+
+def _lines(keys):
+    """Lines of a flat key = value file over ``keys``, as bytes: mostly a
+    value of the key's kinds, sometimes any value or an odd line."""
+    keys = sorted(keys)
+    pair = st.sampled_from(keys).flatmap(
+        lambda key: _line_values(key).map(lambda value: f"{key} = {value}".encode())
+    )
+    free = [key for key in keys if key not in CAPPED]
+    any_pair = st.tuples(st.sampled_from(free), ANY_VALUE).map(lambda kv: " = ".join(kv).encode())
+    odd = st.sampled_from([
+        b"nosuch = 1", b"= 3", b"max_epochs 2", b"x", b"# a comment", b"", b"   ",
+        b"seed = 1 # a comment", b"seed = \xff", b"\xff\xfe", b"runs == 1", b"sf = 0.5 = 0.5",
+    ])
+    return st.lists(st.one_of(pair, pair, pair, pair, pair, any_pair, odd), max_size=4)
+
+
+def _file(head: dict, lines: list) -> bytes:
+    return b"\n".join([f"{k} = {v}".encode() for k, v in head.items()] + lines) + b"\n"
+
+
+def test_bench_exits_0_1_or_2_on_any_spec_file(capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec, tiny = tmp / "spec.cfg", tmp / "tiny.csv"
+        tiny.write_text("a,b,label\n0,1,x\n1,0,y\n1,1,x\n")
+        (tmp / "blocked").write_text("")
+        datasets = [str(IRIS_CSV), "cluster"] * 3 + [str(tiny), str(tmp / "missing.csv"), str(tmp), ""]
+        outputs = [str(tmp / "out")] * 4 + [str(tmp / "blocked" / "out")]
+
+        @hypothesis.settings(FUZZ, max_examples=100)
+        @hypothesis.given(
+            st.one_of(st.none(), st.sampled_from(datasets)),
+            st.sampled_from(outputs),
+            _lines(set(FIELDS) | set(SPEC_FIELDS) - {"dataset", "output_dir"}),
+        )
+        def check(dataset, output_dir, lines):
+            head = dict(CAPPED)
+            if dataset is not None:
+                head["dataset"] = dataset
+            head["output_dir"] = output_dir
+            spec.write_bytes(_file(head, lines))
+            _check_exit_code(["bench", str(spec)], capsys)
+
+        check()
+
+
+def test_train_exits_0_1_or_2_on_any_config_file(capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "train.cfg", Path(tmp) / "map.json"
+
+        @hypothesis.settings(FUZZ, max_examples=100)
+        @hypothesis.given(_lines(FIELDS), LABEL_COLUMNS)
+        def check(lines, label_column):
+            config.write_bytes(_file({k: v for k, v in CAPPED.items() if k in FIELDS}, lines))
+            argv = ["train", str(IRIS_CSV), "--config", str(config), "--out", str(out)]
+            if label_column is not None:
+                argv += ["--label-column", label_column]
             _check_exit_code(argv + ["--set", "max_epochs=2", "--set", "smooth_max_epochs=1"], capsys)
 
         check()

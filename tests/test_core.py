@@ -105,15 +105,16 @@ def _same_as_exact(asg, patterns, weights):
     )
 
 
-def _spy_exact_rows(monkeypatch):
-    """Route assign_all's brute-force fallback through a row counter."""
+def _spy_fallback(monkeypatch):
+    """Route the winner search's brute-force fallback through a row counter."""
     seen = []
+    among = core._among
 
-    def spy(patterns, weights):
+    def spy(patterns, weights, cand):
         seen.append(patterns.shape[0])
-        return _exact_rows(patterns, weights)
+        return among(patterns, weights, cand)
 
-    monkeypatch.setattr(core, "_exact_rows", spy)
+    monkeypatch.setattr(core, "_among", spy)
     return seen
 
 
@@ -125,7 +126,7 @@ def test_assign_all_near_ties_far_from_the_origin(monkeypatch):
     rng = np.random.default_rng(4)
     e = np.eye(3)
     k = np.arange(-3, 4)
-    seen = _spy_exact_rows(monkeypatch)
+    seen = _spy_fallback(monkeypatch)
     for _ in range(12):
         c = rng.uniform(6e5, 1e6, size=3)
         ulp = np.spacing(c[0])
@@ -159,7 +160,7 @@ def test_assign_all_duplicated_neurons_take_the_fallback(monkeypatch):
     copy = [1.0, 2.0, 3.0]
     weights = np.array([copy, [100.0, 0, 0], copy, [101.0, 0, 0], [100.0, 2.0, 0], copy])
     patterns = np.vstack([weights[0] + rng.normal(size=(7, 3)) * 0.01, weights[1]])
-    seen = _spy_exact_rows(monkeypatch)
+    seen = _spy_fallback(monkeypatch)
     asg = assign_all(Dataset(patterns), make_map(weights))
     assert seen == [7]
     assert _same_as_exact(asg, patterns, weights)
@@ -278,34 +279,29 @@ def test_blocked_assign_all_equals_brute_force_property(monkeypatch):
 
 
 def _spy_pruned_routes(monkeypatch):
-    """Count the rows PrunedSearch sends to the GEMM search and to the
-    brute-force search while ``on[0]`` is set; the brute-force fallback
-    inside the GEMM search is not a route of its own. Rows searched among
-    their own run's neurons (one ``_exact_block`` call with a 3-D weight
-    array) take the brute-force route too."""
+    """Count the rows PrunedSearch sends to its two routes while ``on[0]``
+    is set: the batched GEMM search ("gemm") and the padded brute-force
+    call ("exact"); the rows the GEMM search hands to its own brute-force
+    fallback count apart ("fallback")."""
     rows = Counter()
     on = [False]
-    search, exact, block = core._search, core._exact_rows, core._exact_block
+    inside = [False]
+    search, among = core._search, core._among
 
-    def spy_search(patterns, weights):
-        counting, on[0] = on[0], False
-        rows["gemm"] += counting * patterns.shape[0]
+    def spy_search(patterns, weights, *runs):
+        rows["gemm"] += on[0] * patterns.shape[0]
+        inside[0] = True
         try:
-            return search(patterns, weights)
+            return search(patterns, weights, *runs)
         finally:
-            on[0] = counting
+            inside[0] = False
 
-    def spy_exact(patterns, weights):
-        rows["exact"] += on[0] * patterns.shape[0]
-        return exact(patterns, weights)
-
-    def spy_block(patterns, weights):
-        rows["exact"] += on[0] * (weights.ndim == 3) * patterns.shape[0]
-        return block(patterns, weights)
+    def spy_among(patterns, weights, cand):
+        rows["fallback" if inside[0] else "exact"] += on[0] * patterns.shape[0]
+        return among(patterns, weights, cand)
 
     monkeypatch.setattr(core, "_search", spy_search)
-    monkeypatch.setattr(core, "_exact_rows", spy_exact)
-    monkeypatch.setattr(core, "_exact_block", spy_block)
+    monkeypatch.setattr(core, "_among", spy_among)
     return rows, on
 
 
@@ -370,8 +366,9 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
             assert np.array_equal(asg.wins, fresh.wins)
 
     check()
-    # the skip path and both routes of the rows searched again were taken
-    assert rows["skip"] > 0 and rows["exact"] > 0 and rows["gemm"] > 0
+    # the skip path, both routes of the rows searched again and the GEMM
+    # search's fallback were taken
+    assert min(rows[key] for key in ("skip", "exact", "gemm", "fallback")) > 0, rows
 
 
 def test_pruned_search_without_a_search_equals_assign_all(monkeypatch):
@@ -485,56 +482,81 @@ def _check_runs_against_assign_all(asg, patterns, weights):
         start, rows = start + len(w), rows + len(p)
 
 
-def _spy_run_routes(monkeypatch):
-    """Count the searches again of rows of several runs: padded (one call
-    for all runs) and per run."""
-    routes = Counter()
-    block, per_run = core._exact_block, core._search_run
+def _spy_searches(monkeypatch):
+    """Record each search of rows of several runs: a padded brute-force
+    call as "exact", a batched GEMM search as the ``(rows, neurons)`` it
+    takes of each run."""
+    calls = []
+    inside = [False]
+    search, among = core._search, core._among
 
-    def spy_block(patterns, weights):
-        routes["padded"] += weights.ndim == 3
-        return block(patterns, weights)
+    def spy_search(patterns, weights, rows=None, own=None):
+        if own is not None:  # not a batch of one, as assign_all searches
+            calls.append(list(zip(rows, (own < weights.shape[0]).sum(axis=1).tolist())))
+        inside[0] = True
+        try:
+            return search(patterns, weights, rows, own)
+        finally:
+            inside[0] = False
 
-    def spy_run(patterns, weights, tol):
-        routes["run"] += 1
-        return per_run(patterns, weights, tol)
+    def spy_among(patterns, weights, cand):
+        if not inside[0]:
+            calls.append("exact")
+        return among(patterns, weights, cand)
 
-    monkeypatch.setattr(core, "_exact_block", spy_block)
-    monkeypatch.setattr(core, "_search_run", spy_run)
-    return routes
+    monkeypatch.setattr(core, "_search", spy_search)
+    monkeypatch.setattr(core, "_among", spy_among)
+    return calls
 
 
 def test_pruned_search_over_runs_equals_assign_all_per_run(monkeypatch):
-    # Each run's rows also carry the bounds and pairs that run's own
-    # PrunedSearch gives them, bit for bit: its movement and tol, not another
-    # run's. Every run here has n * m * d <= EXACT_ROUTE, so alone it takes
-    # the brute-force route, as its rows do in the padded call; with
-    # EXACT_ROUTE at 0 every search again goes per run to the GEMM search.
+    # One PrunedSearch over runs of unequal row and neuron counts, a run of
+    # two neurons among them, gives each run's rows what assign_all of that
+    # run alone gives, and the pairs that run's own PrunedSearch gives, bit
+    # for bit, and every bound stays under the row's third distance in its
+    # run. Each call searches the failing rows of every run in one call:
+    # one padded brute-force call, or with EXACT_ROUTE at 0 one GEMM search,
+    # which a small CHUNK splits into blocks. Duplicate weights and a
+    # pattern on a weight make ties; a run that stands still keeps its pairs
+    # while another run's rows are searched again.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    routes = _spy_run_routes(monkeypatch)
+    calls = _spy_searches(monkeypatch)
+    seen = Counter()
 
-    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(
         seed=st.integers(0, 2**32 - 1),
         shapes=st.lists(
-            st.tuples(st.integers(1, 30), st.integers(2, 40), st.floats(-8, -1)),
+            st.tuples(
+                st.integers(1, 30), st.integers(2, 40), st.sampled_from([None, -8.0, -4.0, -1.0])
+            ),
             min_size=1,
             max_size=4,
         ),
         d=st.integers(1, 6),
         offsets=st.lists(st.sampled_from([0.0, 1e4]), min_size=4, max_size=4),
         jumps=st.lists(st.integers(1, 9), max_size=3),
+        duplicates=st.integers(0, 3),
+        chunk=st.sampled_from([core.CHUNK, 64, 1]),
         exact_route=st.sampled_from([core.EXACT_ROUTE, 0]),
     )
-    def check(seed, shapes, d, offsets, jumps, exact_route):
+    @hypothesis.example(
+        seed=0, shapes=[(7, 2, -1.0), (20, 9, None), (3, 5, -4.0)], d=2,
+        offsets=[0.0] * 4, jumps=[3], duplicates=1, chunk=64, exact_route=0,
+    )
+    def check(seed, shapes, d, offsets, jumps, duplicates, chunk, exact_route):
         # the runs share one region unless their offsets differ, so a row
         # searched among other runs' neurons would find closer ones; each
-        # run moves at its own pace
+        # run moves at its own pace, or not at all
+        monkeypatch.setattr(core, "CHUNK", chunk)
         monkeypatch.setattr(core, "EXACT_ROUTE", exact_route)
         rng = np.random.default_rng(seed)
         patterns = [rng.normal(size=(n, d)) + c for (n, _, _), c in zip(shapes, offsets)]
         weights = [rng.normal(size=(m, d)) + c for (_, m, _), c in zip(shapes, offsets)]
+        for p, w in zip(patterns, weights):
+            w[rng.integers(0, len(w), size=duplicates)] = w[rng.integers(0, len(w))]
+            p[0] = w[rng.integers(0, len(w))]
         search = PrunedSearch(
             Dataset(np.concatenate(patterns)), [(n, m) for n, m, _ in shapes]
         )
@@ -542,25 +564,42 @@ def test_pruned_search_over_runs_equals_assign_all_per_run(monkeypatch):
         for t in range(10):
             if t:
                 weights = [
-                    w + rng.normal(size=w.shape) * 10.0**log_step
+                    w if log_step is None else w + rng.normal(size=w.shape) * 10.0**log_step
                     for w, (_, _, log_step) in zip(weights, shapes)
                 ]
             if t in jumps:
                 i = rng.integers(0, len(weights))
+                weights[i] = weights[i].copy()
                 weights[i][rng.integers(0, len(weights[i]))] = rng.normal(size=d) * 2.0 + offsets[i]
+            calls.clear()
             asg = search.assign(np.concatenate(weights))
+            assert len(calls) <= 1
+            gemm = [call for call in calls if call != "exact"]
+            seen["exact"] += len(calls) - len(gemm)
+            for searched in gemm:
+                seen["runs"] += len(searched) > 1
+                seen["unequal rows"] += len({r for r, _ in searched}) > 1
+                seen["unequal neurons"] += len({m for _, m in searched}) > 1
+                seen["two neurons"] += len(searched) > 1 and min(m for _, m in searched) == 2
+                seen["idle run"] += len(searched) < len(shapes)
+                step = max(1, chunk // (len(searched) * max(m for _, m in searched)))
+                seen["blocks"] += len(searched) > 1 and max(r for r, _ in searched) > step
             assert asg.m == sum(len(w) for w in weights)
             _check_runs_against_assign_all(asg, patterns, weights)
             start = rows = 0
             for own, p, w in zip(alone, patterns, weights):
                 own.assign(w)
                 part = slice(rows, rows + len(p))
-                assert search.bound[part].tobytes() == own.bound.tobytes()
+                third = _exact_rows(p, w)[3]
+                for bound in (search.bound[part], own.bound):
+                    assert np.all(bound * bound <= third)
                 assert np.array_equal(search.pair[part], own.pair + start)
                 start, rows = start + len(w), rows + len(p)
 
     check()
-    assert routes["padded"] > 0 and routes["run"] > 0
+    assert min(seen[key] for key in (
+        "exact", "runs", "unequal rows", "unequal neurons", "two neurons", "idle run", "blocks"
+    )) > 0, seen
 
 
 def test_pruned_search_over_runs_lowers_each_runs_bounds_by_its_own_movement():

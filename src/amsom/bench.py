@@ -59,6 +59,8 @@ class ExperimentSpec:
             raise ConfigError(f"config must be a TrainConfig, got {type(self.config).__name__}")
         if not self.dataset:
             raise ConfigError("experiment needs a dataset path or generator id")
+        if not self.output_dir:
+            raise ConfigError("experiment needs an output_dir")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         check_split_fractions((self.train_frac, self.test_frac, self.val_frac))

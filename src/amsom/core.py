@@ -193,9 +193,13 @@ class Assignment:
         return np.bincount(self.winner, minlength=self.m).astype(np.int64)
 
 
-# Score-block budget of assign_all: at most CHUNK float64 entries (2 MB) per
-# block of patterns, so memory stays O(CHUNK) however large n and m grow.
-CHUNK = 1 << 18
+# Score-block budget of assign_all: at most CHUNK float64 entries (1 MB) per
+# block of patterns, so memory stays O(CHUNK) however large n and m grow. A
+# block this size stays in a core's L2 cache (2 MB where it was measured)
+# through the GEMM that writes it and the three argmin passes that read it;
+# a 2 MB block does not, and a 512 KB budget splits 600 x 158 score arrays
+# (perfbench's ladder rung) in two blocks, which run slower than one.
+CHUNK = 1 << 17
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -282,15 +286,19 @@ def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
     The runs are stacked as (runs, R_max, d + 1) @ (runs, d + 1, m_max), in
     blocks of at most CHUNK scores: [p, 1] per row, runs padded with zero
     rows, against each run's [-2 W^T; |w|^2], padded with zero weights of
-    inf norm, which score +inf. Padded rows are dropped at the end; a batch
-    without padding adds no pass over the scores. A score sums d + 1 terms
-    of magnitude at most 2 scale, scale = |p|^2 + its run's max |w|^2, and
-    the norm is within d eps |w|^2, so it is off by at most (3 d + 2) eps
-    scale in any summation order (scaling by two moves no rounding): inside
-    ``tol``, 8 (d + 2) eps scale. The best two are recomputed by ``_pair``;
-    a row whose third best score is not clear of the second by 2 ``tol`` is
-    searched by ``_among``. Only the bound, from the third best score or
-    distance, depends on the blocking.
+    inf norm, which score +inf. A block does only what needs its scores:
+    the GEMM, three ``argmin`` passes for each row's best two candidates
+    and its third best score, and the brute-force recompute of the two by
+    ``_pair``; what is left takes the whole batch at once from O(n) vectors.
+    Padded rows are dropped at the end; a batch without padding adds no
+    pass over the scores. A score sums d + 1 terms of magnitude at most
+    2 scale, scale = |p|^2 + its run's max |w|^2, and the norm is within
+    d eps |w|^2, so it is off by at most (3 d + 2) eps scale in any
+    summation order (scaling by two moves no rounding): inside ``tol``,
+    8 (d + 2) eps scale. A row whose third best score is not clear of the
+    second by 2 ``tol`` is searched by ``_among``, all such rows in one
+    call. Only the bound, from the third best score or distance, depends on
+    the blocking.
     """
     (n, d), m = patterns.shape, weights.shape[0]
     if m == 1:
@@ -313,11 +321,14 @@ def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
     ones = np.zeros((k * r_max, d + 1))
     ones[:, d] = 1.0
     ones[real, :d] = patterns
+    p = ones[:, :d]
     ones = ones.reshape(k, r_max, d + 1)
 
     def block(part: np.ndarray):
-        # squared distance minus |p|^2 of each slot, within tol; the third
-        # best is read at its argmin once the best two are masked out
+        # winner, runner-up and winner distance of each slot of the block,
+        # and its second and third best scores (squared distance minus
+        # |p|^2, within tol); the third best is read at its argmin once the
+        # best two are masked out
         g = (part @ w_aug).reshape(-1, m_max)
         slots = np.arange(g.shape[0])
         a = g.argmin(axis=1)
@@ -330,28 +341,33 @@ def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
         np.minimum(a, b, out=cand[..., 0].reshape(-1))
         np.maximum(a, b, out=cand[..., 1].reshape(-1))
         cand += own[:, :1, None]
-        p = part[..., :d].reshape(-1, d)
-        winner, second, dist, _ = _pair(p, weights, cand.reshape(-1, 2))
-        p_sq = np.einsum("nd,nd->n", p, p)
-        scale = (p_sq.reshape(k, -1) + w_sq_max).reshape(-1)
-        tol = _tol(scale, d)
-        # only a slot past _MAX_SCALE can overflow here, and _among searches it
-        with np.errstate(over="ignore", invalid="ignore"):
-            third = g_c + p_sq
-            slow = (~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE))).nonzero()[0]
-        if slow.size:
-            found = _among(p[slow], weights, own.take(slow // part.shape[1], axis=0))
-            winner[slow], second[slow], dist[slow], third[slow] = found
-        return winner, second, dist, _bound(third, tol)
+        winner, second, dist, _ = _pair(part[..., :d].reshape(-1, d), weights, cand.reshape(-1, 2))
+        return winner, second, dist, g_b, g_c
 
     step = max(1, CHUNK // (k * m_max))
     if step >= r_max:
         found = block(ones)
     else:
-        blocks = zip(*(block(ones[:, lo : lo + step]) for lo in range(0, r_max, step)))
-        found = (np.concatenate([x.reshape(k, -1) for x in parts], axis=1) for parts in blocks)
+        # slot (r, j) of every block written into (runs, R_max) arrays; a
+        # block's temporaries are freed before the next block is scored
+        found = [np.empty((k, r_max), dtype) for dtype in [np.int64] * 2 + [np.float64] * 3]
+        for lo in range(0, r_max, step):
+            for whole, part in zip(found, block(ones[:, lo : lo + step])):
+                whole[:, lo : lo + step] = part.reshape(k, -1)
+        found = [x.reshape(-1) for x in found]
+    winner, second, dist, g_b, g_c = found
+    p_sq = np.einsum("nd,nd->n", p, p)
+    scale = (p_sq.reshape(k, -1) + w_sq_max).reshape(-1)
+    tol = _tol(scale, d)
+    # only a slot past _MAX_SCALE can overflow here, and _among searches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        third = g_c + p_sq
+        slow = (~((g_c - g_b > 2.0 * tol) & (scale < _MAX_SCALE))).nonzero()[0]
+    if slow.size:
+        found = _among(p[slow], weights, own.take(slow // r_max, axis=0))
+        winner[slow], second[slow], dist[slow], third[slow] = found
     # the slots in order are the rows, once the padded ones are dropped
-    return tuple(x.reshape(-1)[real] for x in found)
+    return tuple(x[real] for x in (winner, second, dist, _bound(third, tol)))
 
 
 def assign_all(data: Dataset, map_state: MapState) -> Assignment:
@@ -363,9 +379,10 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
 
     Exactness: the result is bit-identical to the brute-force search
     ``_exact_rows`` (squared differences summed over d for every pair). It
-    is the batch of one of the chunked GEMM search ``_search``; working
-    memory beyond the O(n) result is at most CHUNK entries per block, never
-    O(n * m * d).
+    is the batch of one of the chunked GEMM search ``_search``: the n x m
+    scores are made and read one block of at most CHUNK entries at a time,
+    so working memory is one such block plus O(n * d) (the augmented
+    patterns and one block's recomputed pairs), never O(n * m * d).
     """
     if data.d != map_state.d:
         raise DataError(f"dataset d={data.d} does not match map d={map_state.d}")

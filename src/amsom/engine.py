@@ -168,9 +168,11 @@ def _pairwise_sq(points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
         sq = x[:, None] - x
         dy = y[:, None] - y
-        sq *= sq
-        dy *= dy
-        sq += dy
+        # an overflowing square or sum is inf, as in the einsum, without its warning
+        with np.errstate(over="ignore"):
+            sq *= sq
+            dy *= dy
+            sq += dy
         return sq
     sq = np.empty((m, m))
     step = max(1, KERNEL_CHUNK // (m * d))

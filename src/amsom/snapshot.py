@@ -82,9 +82,10 @@ def _open_output(path):
 
 def check_output_path(path) -> None:
     """Raise the ConfigError of ``_open_output`` up front, creating nothing,
-    when ``path`` is a directory or its directory is missing or read-only."""
+    when ``path`` is empty or a directory, or its directory is missing or
+    read-only."""
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
         path if os.path.exists(path) else folder, os.W_OK
     ):
         raise ConfigError(f"cannot write {path}: not a writable file in an existing directory")

@@ -150,6 +150,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(dataset="")
     with pytest.raises(ConfigError):
         ExperimentSpec(dataset="x.csv", runs=0)
+    with pytest.raises(ConfigError, match="output_dir"):
+        ExperimentSpec(dataset="x.csv", output_dir="")
     with pytest.raises(ConfigError):
         ExperimentSpec(dataset="x.csv", train_frac=0.9, test_frac=0.2, val_frac=0.2)
     with pytest.raises(ConfigError, match="finite"):
@@ -664,7 +666,7 @@ def test_cli_train_checks_its_output_path_before_training(blob_csv, tmp_path, mo
         raise RuntimeError("training failed")
 
     monkeypatch.setattr("amsom.cli.train", failing_train)
-    for bad in [tmp_path / "nosuchdir" / "map.json", tmp_path]:
+    for bad in [tmp_path / "nosuchdir" / "map.json", tmp_path, ""]:
         assert main(["train", str(blob_csv), "--out", str(bad)]) == 1
     assert calls == []
 
@@ -676,6 +678,21 @@ def test_cli_train_checks_its_output_path_before_training(blob_csv, tmp_path, mo
     assert main(["train", str(blob_csv), "--out", str(out)]) == 3
     assert out.read_text() == "kept\n"
     capsys.readouterr()  # keep the error lines out of the test log
+
+
+def test_cli_empty_output_paths_are_config_errors(blob_csv, tmp_path, monkeypatch, capsys):
+    # an empty path is the working directory to pathlib, so a run would
+    # write its files there; each case is a config error before any work
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(f"dataset = {blob_csv}\nruns = 1\nmax_epochs = 5\noutput_dir = \n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["bench", str(spec)]) == 1
+    spec.write_text(f"dataset = {blob_csv}\nruns = 1\nmax_epochs = 5\n")
+    assert main(["bench", str(spec), "--out", ""]) == 1
+    assert main(["train", str(blob_csv), "--out", ""]) == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):

@@ -210,6 +210,100 @@ def test_one_block_searches_equal_the_blocked_ones(monkeypatch, m):
         assert a.tobytes() == b.tobytes()
 
 
+def test_batched_search_across_blocks_equals_exact_rows_per_run(monkeypatch):
+    # three runs of 7, 3 and 5 rows among 5, 6 and 2 neurons, two slots of
+    # each run per score block: four blocks, the last one partial, and the
+    # two shorter runs end in padded slots. Run 0 holds three copies of one
+    # neuron far from the rest, and only its row 5, in the third block, is
+    # near them: its scores cannot rank the copies, so one fallback call
+    # searches that row alone. Each run's rows get what _exact_rows of that
+    # run alone gives, blocked or searched in one block.
+    rng = np.random.default_rng(7)
+    shapes, d = [(7, 5), (3, 6), (5, 2)], 3
+    patterns = [rng.normal(size=(n, d)) for n, _ in shapes]
+    weights = [rng.normal(size=(m, d)) for _, m in shapes]
+    weights[0][[0, 1, 3]] = 50.0
+    patterns[0][5] = 50.0 + rng.normal(size=d) * 0.01
+    rows = [n for n, _ in shapes]
+    starts = np.cumsum([m for _, m in shapes]) - [m for _, m in shapes]
+    m_max, m = max(m for _, m in shapes), sum(m for _, m in shapes)
+    own = np.array([
+        np.where(np.arange(m_max) < mm, start + np.arange(m_max), m)
+        for (_, mm), start in zip(shapes, starts)
+    ])
+    seen = _spy_fallback(monkeypatch)
+    for chunk in (core.CHUNK, 2 * len(shapes) * m_max):
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        seen.clear()
+        found = _search(np.concatenate(patterns), np.concatenate(weights), rows, own)
+        assert seen == [1]
+        at = np.cumsum(rows) - rows
+        for p, w, start, first in zip(patterns, weights, starts, at):
+            part = slice(first, first + len(p))
+            winner, second, dist, third = _exact_rows(p, w)
+            assert np.array_equal(found[0][part], winner + start)
+            assert np.array_equal(found[1][part], second + start)
+            assert found[2][part].tobytes() == dist.tobytes()
+            assert np.all(found[3][part] ** 2 <= third)
+    assert found[0][5] in (0, 1, 3) and found[1][5] in (0, 1, 3)
+
+
+def test_batched_search_certifies_each_row_by_its_own_tol(monkeypatch):
+    # runs near the origin alternate with runs far from it, whose patterns
+    # sit among four neurons within ulps of each other (as in
+    # ``test_assign_all_near_ties_far_from_the_origin``): a far row's scores
+    # cannot rank them under its own tol, so every far row, and no near
+    # one, is searched by the fallback, in one call however the rows are
+    # blocked. A far row certified with a near row's tol would skip it.
+    rng = np.random.default_rng(9)
+    e = np.eye(3)
+    close = np.vstack([-0.5 * e[0], 0.5 * e[0], 0.5 * e[1], -0.5 * e[1], 7 * e[2]])
+    patterns, weights = [], []
+    for run in range(6):
+        if run % 2:
+            c = rng.uniform(6e5, 1e6, size=3)
+            shift = rng.integers(-3, 4, size=(2, 2)) * np.spacing(c[0])
+            weights.append(c + close)
+            patterns.append(c + np.column_stack([shift, np.zeros(2)]))
+        else:
+            weights.append(rng.normal(size=(5, 3)))
+            patterns.append(rng.normal(size=(2, 3)))
+    own = np.arange(30).reshape(6, 5)
+    seen = _spy_fallback(monkeypatch)
+    for chunk in (core.CHUNK, 1):
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        seen.clear()
+        found = _search(np.concatenate(patterns), np.concatenate(weights), [2] * 6, own)
+        assert seen == [6]
+        for run, (p, w) in enumerate(zip(patterns, weights)):
+            winner, second, dist, _ = _exact_rows(p, w)
+            at = slice(2 * run, 2 * run + 2)
+            assert np.array_equal(found[0][at], winner + 5 * run)
+            assert np.array_equal(found[1][at], second + 5 * run)
+            assert found[2][at].tobytes() == dist.tobytes()
+
+
+def test_assign_all_at_the_mixture16_shape_holds_one_cache_sized_block():
+    # perfbench's 2000 x 224 x 16 ladder rung, the size of the mixture16
+    # map: its 448000 scores (3.6 MB) are made and read in blocks of at most
+    # CHUNK entries, at most 1 MB, so that a block stays in a core's L2
+    # cache. Besides one block a search holds the (n, d + 1) augmented
+    # patterns and at most four n x d arrays more: one block's recomputed
+    # pairs and the per-row vectors of the certificate.
+    n, m, d = 2000, 224, 16
+    assert 8 * core.CHUNK <= 1 << 20
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(n, d)))
+    ms = make_map(rng.normal(size=(m, d)))
+    tracemalloc.start()
+    try:
+        assign_all(data, ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (core.CHUNK + n * (d + 1) + 4 * n * d)
+
+
 def test_assign_all_equals_brute_force_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -327,6 +421,13 @@ def test_pruned_search_equals_assign_all_property(monkeypatch):
     # its pair, so all 60 rows of this example take the GEMM route
     @hypothesis.example(
         seed=1, n=60, m=30, d=16, log_scale=0.0, offset=0.0, duplicates=0,
+        rounded=False, log_step=-6.0, jumps=[4],
+    )
+    # with five copies of one neuron, two of the rows the GEMM route takes
+    # again have no third best score clear of the second: the fallback runs
+    # whatever the random examples draw
+    @hypothesis.example(
+        seed=1, n=60, m=30, d=16, log_scale=0.0, offset=0.0, duplicates=5,
         rounded=False, log_step=-6.0, jumps=[4],
     )
     def check(seed, n, m, d, log_scale, offset, duplicates, rounded, log_step, jumps):

@@ -139,6 +139,12 @@ def test_pairwise_sq_equals_one_einsum_property(monkeypatch):
         zeros=st.integers(0, 3),
         chunk=st.sampled_from([None, 1, 5, 64, 700]),
     )
+    # the points [[1.00001257e154, 9.99986790e153], [0, 0]]: both squares of
+    # the two-column path are finite, and their sum overflows to inf, as in
+    # the einsum, with no overflow warning
+    @hypothesis.example(
+        seed=0, m=2, d=2, log_scale=150.0, offset=1e4, duplicates=0, zeros=1, chunk=None
+    )
     def check(seed, m, d, log_scale, offset, duplicates, zeros, chunk):
         rng = np.random.default_rng(seed)
         points = _points(rng, m, d, 10.0**log_scale, offset, duplicates, zeros)

@@ -397,7 +397,9 @@ def _among(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray):
     (at least two). Index m stands for a neuron at inf, which pads a row's
     list: an inf distance loses every ``argmin`` tie to the neurons before
     it. Blocks of rows keep the difference array under CHUNK entries. The
-    winner and runner-up are neuron indices."""
+    winner and runner-up are neuron indices. It serves ``PrunedSearch``'s
+    padded brute-force call and the GEMM search's fallback; these padding
+    and ordering contracts hold within this module alone."""
     m, d = weights.shape
     padded = np.concatenate([weights, np.full((1, d), np.inf)])
 

@@ -21,9 +21,7 @@ from .core import (
     Dataset,
     MapState,
     PrunedSearch,
-    _among,
     _mean_root,
-    _search,
     assign_all,
     per_neuron_quantization,
     winner_means,
@@ -128,22 +126,6 @@ class EpochReport:
     epoch: int
     mqe: float
     events: list = field(default_factory=list)
-
-
-def neighborhood_output(r_j, r_i, sigma: float) -> float:
-    """Output-space kernel exp(-|r_j - r_i|^2 / sigma^2)."""
-    r_j = np.asarray(r_j, dtype=np.float64)
-    r_i = np.asarray(r_i, dtype=np.float64)
-    diff = r_j - r_i
-    return float(np.exp(-(diff @ diff) / (sigma * sigma)))
-
-
-def neighborhood_input(w_j, w_i, sigma: float, gamma: float) -> float:
-    """Input-space kernel exp(-|w_j - w_i|^2 / (gamma * sigma^2))."""
-    w_j = np.asarray(w_j, dtype=np.float64)
-    w_i = np.asarray(w_i, dtype=np.float64)
-    diff = w_j - w_i
-    return float(np.exp(-(diff @ diff) / (gamma * sigma * sigma)))
 
 
 # Block budget of _pairwise_sq for d != 2: at most KERNEL_CHUNK float64
@@ -642,53 +624,17 @@ def _run_epochs(runs, step):
     return reports
 
 
-def _after_split_and_removals(data: Dataset, map_state: MapState, asg: Assignment, events):
-    """``assign_all(data, map_state)``, bit for bit, from ``asg``, the
-    assignment of the map before ``events``: at most one split, then the
-    removal of neurons, indices as they stood after the split.
-
-    No other neuron moved. So a row whose winner and runner-up are neither
-    removed nor the split parent keeps them as its two best among the
-    unchanged neurons, their indices shifted past the removed ones, and its
-    new pair is the best two of those and the neurons with new weights (the
-    parent and its offspring, if kept), by brute-force (distance, index).
-    Every other row is searched again against the whole map.
-    """
-    split = [e["parent"] for e in events if e["kind"] == "neuron_split"]
-    removed = [e["neuron"] for e in events if e["kind"] == "neuron_removed"]
-    if not split and not removed:
-        return asg
-    index = np.full(asg.m + len(split), -1)
-    kept = np.ones(index.size, dtype=bool)
-    kept[removed] = False
-    index[kept] = np.arange(map_state.m)
-    fresh = index[split + [asg.m] * len(split)]
-    fresh = fresh[fresh >= 0]
-    index[split] = -1
-    winner, second = index.take(asg.winner), index.take(asg.second)
-    dist = asg.dist.copy()
-    stale = (winner < 0) | (second < 0)
-    patterns, weights = data.patterns, map_state.weights
-    if fresh.size:
-        rows = (~stale).nonzero()[0]
-        cand = np.column_stack([winner[rows], second[rows], np.tile(fresh, (rows.size, 1))])
-        cand.sort(axis=1)
-        winner[rows], second[rows], dist[rows], _ = _among(patterns[rows], weights, cand)
-    redo = stale.nonzero()[0]
-    if redo.size:
-        winner[redo], second[redo], dist[redo], _ = _search(patterns[redo], weights)
-    return Assignment(winner, second, dist, map_state.m)
-
-
 def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
     """Run the structural training phase until the error settles.
 
     Mutates ``map_state`` in place and returns ``(map_state, reports)``. Each
     epoch ends by measuring the mean quantization error against the map as it
-    then stands; training stops early when the epoch-to-epoch change drops
-    under eps1, and always at max_epochs. ``progress`` (if given) receives
-    every EpochReport as it is produced. The epoch loop is the one shared
-    with ``smooth_runs`` and the baseline.
+    then stands: the assignment made after pruning, or a fresh search if a
+    split or a degree-cap removal changed the map after it. That assignment
+    starts the next epoch. Training stops early when the epoch-to-epoch
+    change drops under eps1, and always at max_epochs. ``progress`` (if
+    given) receives every EpochReport as it is produced. The epoch loop is
+    the one shared with ``smooth_runs`` and the baseline.
     """
     if map_state.m < 2:
         raise MapStructureError("training needs at least 2 neurons")
@@ -724,10 +670,11 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
             epochs_since_add = 0
         events += split_events
 
-        degree_events = enforce_degree(map_state, q)
-        events += degree_events
+        events += enforce_degree(map_state, q)
 
-        asg = _after_split_and_removals(data, map_state, asg, split_events + degree_events)
+        # a split or a degree-cap removal changed the map after its search
+        if split_events or map_state.m != asg.m:
+            asg = assign_all(data, map_state)
         return [(asg.dist, events)]
 
     (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)
@@ -761,9 +708,13 @@ def smooth(
     ``_lockstep`` is for ``smooth_runs`` alone: it runs its runs, of which
     this call's is the first, under this call, where a span profiler that
     knows ``smooth`` as the smoothing phase (perfbench's tracer) finds them.
+    The first run reports to this call's ``progress``, so a wrapper that
+    swaps it sees that run's epochs.
     """
     if _lockstep is None:
         _lockstep = _Lockstep([(data, map_state, config, progress)])
+    else:
+        _lockstep.runs[0] = _lockstep.runs[0][:3] + (progress,)
     return map_state, _lockstep.run()[0]
 
 

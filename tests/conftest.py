@@ -34,6 +34,24 @@ def make_map(weights, positions=None, edges=(), win_count=None):
     return MapState(w, r, e, a, wc)
 
 
+def neighborhood_output(r_j, r_i, sigma: float) -> float:
+    """Output-space kernel exp(-|r_j - r_i|^2 / sigma^2), the paper's
+    formula for one pair, as an oracle for the batched kernels."""
+    r_j = np.asarray(r_j, dtype=np.float64)
+    r_i = np.asarray(r_i, dtype=np.float64)
+    diff = r_j - r_i
+    return float(np.exp(-(diff @ diff) / (sigma * sigma)))
+
+
+def neighborhood_input(w_j, w_i, sigma: float, gamma: float) -> float:
+    """Input-space kernel exp(-|w_j - w_i|^2 / (gamma * sigma^2)), the
+    paper's formula for one pair, as an oracle for the batched kernels."""
+    w_j = np.asarray(w_j, dtype=np.float64)
+    w_i = np.asarray(w_i, dtype=np.float64)
+    diff = w_j - w_i
+    return float(np.exp(-(diff @ diff) / (gamma * sigma * sigma)))
+
+
 def assert_same_map(a, b):
     for attr in ("weights", "positions", "edges", "ages", "win_count"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr))

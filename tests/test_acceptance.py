@@ -21,8 +21,6 @@ from amsom.engine import (
     batch_weight_update,
     enforce_degree,
     maybe_add_neuron,
-    neighborhood_input,
-    neighborhood_output,
     process_pattern_edges,
     prune_edges_and_neurons,
 )
@@ -30,7 +28,7 @@ from amsom.baseline import train_batch_som
 from amsom.errors import MapStructureError
 from amsom.grid import growing_threshold
 
-from conftest import IRIS_CSV, make_map
+from conftest import IRIS_CSV, make_map, neighborhood_input, neighborhood_output
 
 Q_RECT = 4
 

@@ -29,8 +29,6 @@ from amsom.engine import (
     batch_weight_update,
     enforce_degree,
     maybe_add_neuron,
-    neighborhood_input,
-    neighborhood_output,
     position_update,
     process_pattern_edges,
     prune_edges_and_neurons,
@@ -48,7 +46,7 @@ from amsom.grid import (
     init_weights,
 )
 
-from conftest import assert_same_map, make_map
+from conftest import assert_same_map, make_map, neighborhood_input, neighborhood_output
 
 
 # ---------------------------------------------------------------- kernels
@@ -713,6 +711,29 @@ def test_smooth_runs_failure_stops_that_run_and_the_later_ones():
                      (runs[2][0], maps[2], runs[2][2], None)])
     assert caught.value.run == 1
     assert maps[0].weights.tobytes() == want.weights.tobytes()
+
+
+def test_smooth_runs_reports_the_first_run_to_the_progress_smooth_was_given(monkeypatch):
+    # a wrapper of smooth that swaps its progress for its own hook (as a span
+    # profiler does) sees the first run's epochs, and that hook still calls
+    # the run's own
+    runs = [_random_smoothing_run(30 + i, 30, 8) for i in range(2)]
+    smooth_alone, counted = engine.smooth, []
+
+    def wrapped(data, map_state, config, progress=None, **kwargs):
+        def counting(report):
+            counted.append(report.epoch)
+            progress(report)
+
+        return smooth_alone(data, map_state, config, counting, **kwargs)
+
+    monkeypatch.setattr(engine, "smooth", wrapped)
+    own = [[], []]
+    reports = smooth_runs(
+        [(data, ms, cfg, own[i].append) for i, (data, ms, cfg) in enumerate(runs)]
+    )
+    assert counted == [r.epoch for r in reports[0]]
+    assert own[0] == reports[0] and own[1] == reports[1]
 
 
 def test_smooth_runs_input_checks(iris):
@@ -1417,19 +1438,24 @@ def _same_assignment(carried, fresh):
     assert carried.m == fresh.m
 
 
+def _churning_run():
+    """Four blobs, frequent splits, and a degree cap of 2 that isolates and
+    removes neurons: ``(data, map_state, config)``."""
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(0.0, 10.0, size=(4, 2))
+    data = Dataset(np.vstack([rng.normal(c, 0.6, size=(20, 2)) for c in centers]))
+    cfg = TrainConfig(seed=0, t_add=3, age_max=5, q_max=2, max_epochs=40,
+                      sigma_decay_epochs=10, smooth_max_epochs=30)
+    return (data, *create_initial_map(data, cfg))
+
+
 @pytest.mark.parametrize("trainer", ["train", "smooth", "train_batch_som"])
 def test_carried_assignment_matches_a_fresh_one(trainer, monkeypatch):
     # every epoch's report must describe the map exactly as it then stands,
     # although the trainers reuse that assignment to start the next epoch:
     # the last assignment a trainer made in an epoch must be, bit for bit,
     # the one a fresh search of the map gives
-    rng = np.random.default_rng(0)
-    centers = rng.uniform(0.0, 10.0, size=(4, 2))
-    data = Dataset(np.vstack([rng.normal(c, 0.6, size=(20, 2)) for c in centers]))
-    # frequent splits, and a degree cap of 2 that isolates and removes neurons
-    cfg = TrainConfig(seed=0, t_add=3, age_max=5, q_max=2, max_epochs=40,
-                      sigma_decay_epochs=10, smooth_max_epochs=30)
-    ms, cfg = create_initial_map(data, cfg)
+    data, ms, cfg = _churning_run()
     if trainer == "smooth":
         train(data, ms, cfg)
 
@@ -1445,7 +1471,7 @@ def test_carried_assignment_matches_a_fresh_one(trainer, monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
 
     makers = {
-        "train": [(engine, "assign_all"), (engine, "_after_split_and_removals")],
+        "train": [(engine, "assign_all")],
         "smooth": [(PrunedSearch, "assign")],
         "train_batch_som": [(baseline, "assign_all")],
     }[trainer]
@@ -1466,53 +1492,35 @@ def test_carried_assignment_matches_a_fresh_one(trainer, monkeypatch):
         assert {"neuron_split", "neuron_removed"} <= kinds
 
 
-def test_assignment_after_a_split_and_removals_property():
-    # the update after a split and removals against a fresh search: beta of
-    # 0 (the parent keeps its weight, its offspring sits at the origin), of
-    # +-0.5 (the clamp's ends) or drawn; duplicate weights, patterns on a
-    # weight, and several removals, the parent or its offspring among them
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def test_train_searches_again_only_after_a_split_or_a_degree_cap_removal(monkeypatch):
+    # the search after pruning serves the epoch's error and starts the next
+    # epoch unless a split or a degree-cap removal changed the map after it:
+    # one search before the first epoch, one per epoch, and one more in each
+    # epoch that split or removed a neuron under the cap
+    data, ms, cfg = _churning_run()
+    searches, capped = [], []
+    assign, cap = engine.assign_all, engine.enforce_degree
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 60),
-        m=st.integers(2, 14),
-        d=st.integers(1, 4),
-        beta=st.one_of(st.sampled_from([0.0, 0.5, -0.5, None]), st.floats(-0.5, 0.5)),
-        duplicates=st.integers(0, 4),
-        removals=st.integers(0, 5),
-        grid=st.booleans(),
-    )
-    def check(seed, n, m, d, beta, duplicates, removals, grid):
-        rng = np.random.default_rng(seed)
-        draw = (lambda *shape: rng.integers(-2, 3, size=shape).astype(float)) if grid else (
-            lambda *shape: rng.normal(size=shape))
-        weights = draw(m, d)
-        for _ in range(duplicates):
-            weights[rng.integers(m)] = weights[rng.integers(m)]
-        patterns = draw(n, d)
-        on = min(n, m, duplicates)
-        patterns[:on] = weights[:on]  # patterns exactly on a weight
-        data = Dataset(patterns)
-        ms = make_map(weights)
-        asg = assign_all(data, ms)
-        events = []
-        if beta is not None:
-            parent = int(rng.integers(m))
-            w_u = ms.weights[parent].copy()
-            ms.weights[parent] = (1.0 + beta) * w_u
-            ms = make_map(np.vstack([ms.weights, -beta * w_u]))
-            events.append({"kind": "neuron_split", "parent": parent, "new_neuron": m})
-        gone = rng.choice(ms.m, size=min(removals, ms.m - 2), replace=False)
-        for i in np.sort(gone).tolist():
-            events.append({"kind": "neuron_removed", "neuron": i})
-        ms.delete_neurons(gone)
-        carried = engine._after_split_and_removals(data, ms, asg, events)
-        _same_assignment(carried, assign_all(data, ms))
+    def counted(*args):
+        searches.append(args)
+        return assign(*args)
 
-    check()
+    def removals_under_the_cap(map_state, q):
+        events = cap(map_state, q)
+        capped.append(sum(e["kind"] == "neuron_removed" for e in events))
+        return events
+
+    monkeypatch.setattr(engine, "assign_all", counted)
+    monkeypatch.setattr(engine, "enforce_degree", removals_under_the_cap)
+    _, reports = train(data, ms, cfg)
+    split = [any(e["kind"] == "neuron_split" for e in r.events) for r in reports]
+    again = [s or c > 0 for s, c in zip(split, capped)]
+    assert len(searches) == len(reports) + 1 + sum(again)
+    # every kind of change is in the run: a removal alone, a split alone, and
+    # a split whose one removal leaves the neuron count where it was
+    assert any(c and not s for s, c in zip(split, capped))
+    assert any(s and not c for s, c in zip(split, capped))
+    assert any(s and c == 1 for s, c in zip(split, capped))
 
 
 def test_smooth_freezes_the_structure(iris):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_not_an_input(out, *inputs) -> None:
+    """Raise ConfigError when the output ``out`` is the same file as one of
+    ``inputs`` (None for an input that is not a file), which the command
+    would overwrite."""
+    for path in inputs:
+        if path and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+            raise ConfigError(f"output {out} is the command's own input {path}")
+
+
 def _cmd_train(args) -> int:
     values = read_config_file(args.config) if args.config else {}
     for item in args.set:
@@ -62,6 +72,7 @@ def _cmd_train(args) -> int:
         values[key.strip()] = value.strip()
     config = apply_config_values(values, TrainConfig())
     check_output_path(args.out)
+    _check_not_an_input(args.out, None if args.dataset == "cluster" else args.dataset, args.config)
 
     data = load_dataset(args.dataset, args.label_column, seed=config.seed)
     map_state, cfg = create_initial_map(data, config)
@@ -107,8 +118,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    map_state, payload = load_snapshot(args.snapshot)
     out = args.out or str(Path(args.snapshot).with_suffix(".svg"))
+    _check_not_an_input(out, args.snapshot)
+    map_state, payload = load_snapshot(args.snapshot)
     render_svg(map_state, out, labels=payload.get("neuron_labels"))
     print(f"svg: {out}")
     return 0

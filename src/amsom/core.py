@@ -208,49 +208,6 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _MAX_SCALE = np.finfo(np.float64).max / 8
 
 
-def _in_blocks(search, rows: tuple, step: int, *args):
-    """``search(*blocks, *args)`` over blocks of at most ``step`` rows of
-    each array of ``rows`` (arrays of one row count), its (int, int, float,
-    float) results joined; rows that fit in one block are searched whole,
-    with nothing preallocated."""
-    n = rows[0].shape[0]
-    if n <= step:
-        return search(*rows, *args)
-    out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
-    for start in range(0, n, step):
-        stop = start + step
-        for whole, part in zip(out, search(*(r[start:stop] for r in rows), *args)):
-            whole[start:stop] = part
-    return out
-
-
-def _exact_block(patterns: np.ndarray, weights: np.ndarray):
-    """``_exact_rows`` of one block of rows, from one difference array.
-    ``weights`` is (m, d), or (n, m, d) for neurons of each row's own."""
-    n, m = patterns.shape[0], weights.shape[-2]
-    diff = patterns[:, None, :] - weights
-    d2 = np.einsum("nmd,nmd->nm", diff, diff)
-    rows = np.arange(n)
-    best = d2.argmin(axis=1)
-    dist = d2[rows, best]
-    if m == 1:
-        return best, np.full(n, -1, dtype=np.int64), dist, np.full(n, np.inf)
-    d2[rows, best] = np.inf
-    second = d2.argmin(axis=1)
-    d2[rows, second] = np.inf
-    return best, second, dist, d2.min(axis=1)
-
-
-def _exact_rows(patterns: np.ndarray, weights: np.ndarray):
-    """Winner, runner-up (-1 when m = 1), winner distance and third-smallest
-    squared distance (inf when m = 1) by brute force, summing the squares of
-    every ``p - w`` over d in blocks under CHUNK entries: the reference that
-    ``assign_all`` reproduces bit for bit, and its search of a one-neuron map.
-    """
-    m, d = weights.shape
-    return _in_blocks(_exact_block, (patterns,), max(1, CHUNK // (m * d)), weights)
-
-
 def _tol(scale, d: int):
     """Error bound of a GEMM score plus brute-force rounding at scale |p|^2 + max |w|^2."""
     return 8.0 * (d + 2) * (_EPS * scale + _TINY)
@@ -281,7 +238,8 @@ def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
     neurons or more: ``rows`` counts each run's consecutive rows, ``own``
     lists its neurons, ascending, padded with index m; by default one run
     holds everything (``assign_all``'s batch of one, which may have one
-    neuron: then brute force, inf bounds). Indices count all runs' neurons.
+    neuron: then ``_among`` over every neuron, inf bounds). Indices count
+    all runs' neurons.
 
     The runs are stacked as (runs, R_max, d + 1) @ (runs, d + 1, m_max), in
     blocks of at most CHUNK scores: [p, 1] per row, runs padded with zero
@@ -302,7 +260,7 @@ def _search(patterns: np.ndarray, weights: np.ndarray, rows=None, own=None):
     """
     (n, d), m = patterns.shape, weights.shape[0]
     if m == 1:
-        return (*_exact_rows(patterns, weights)[:3], np.full(n, np.inf))
+        return (*_among(patterns, weights)[:3], np.full(n, np.inf))
     if own is None:
         rows, own = [n], np.arange(m)[None]
     k, m_max = own.shape
@@ -378,8 +336,9 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     single-neuron map). ``dist`` is the squared distance to the winner.
 
     Exactness: the result is bit-identical to the brute-force search
-    ``_exact_rows`` (squared differences summed over d for every pair). It
-    is the batch of one of the chunked GEMM search ``_search``: the n x m
+    ``_among(patterns, weights)`` (squared differences summed over d for
+    every pair), which also searches a one-neuron map. Otherwise it is the
+    batch of one of the chunked GEMM search ``_search``: the n x m
     scores are made and read one block of at most CHUNK entries at a time,
     so working memory is one such block plus O(n * d) (the augmented
     patterns and one block's recomputed pairs), never O(n * m * d).
@@ -390,25 +349,50 @@ def assign_all(data: Dataset, map_state: MapState) -> Assignment:
     return Assignment(winner, second, dist, map_state.m)
 
 
-def _among(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray):
-    """``_exact_rows`` of each row among its own candidates: winner,
-    runner-up, winner distance and third-smallest squared distance by brute
-    force, over the neurons that row of ``cand`` lists in ascending order
-    (at least two). Index m stands for a neuron at inf, which pads a row's
-    list: an inf distance loses every ``argmin`` tie to the neurons before
-    it. Blocks of rows keep the difference array under CHUNK entries. The
-    winner and runner-up are neuron indices. It serves ``PrunedSearch``'s
-    padded brute-force call and the GEMM search's fallback; these padding
-    and ordering contracts hold within this module alone."""
-    m, d = weights.shape
-    padded = np.concatenate([weights, np.full((1, d), np.inf)])
+def _among(patterns: np.ndarray, weights: np.ndarray, cand: np.ndarray | None = None):
+    """Winner, runner-up (-1 among one neuron), winner distance and
+    third-smallest squared distance (inf among fewer than three) of each row
+    by brute force, summing the squares of every ``p - w`` over d: the one
+    brute-force search of this module. With ``cand`` None each row is
+    searched among every neuron, the reference that ``assign_all``
+    reproduces bit for bit and its search of a one-neuron map. Else each row
+    is searched among the neurons its row of ``cand`` lists in ascending
+    order (at least two): ``PrunedSearch``'s padded brute-force call and the
+    GEMM search's fallback. Index m stands for a neuron at inf, which pads a
+    row's list: an inf distance loses every ``argmin`` tie to the neurons
+    before it. Either way the indices returned are neuron indices. Blocks of
+    rows keep the difference array under CHUNK entries; rows that fit in one
+    block are searched whole, with nothing preallocated. These padding and
+    ordering contracts hold within this module alone."""
+    (n, d), m = patterns.shape, weights.shape[0]
+    if cand is not None:
+        m = cand.shape[1]
+        weights = np.concatenate([weights, np.full((1, d), np.inf)])
 
-    def block(part: np.ndarray, own: np.ndarray):
-        best, second, dist, third = _exact_block(part, padded.take(own, axis=0))
-        at = np.arange(own.shape[0])
-        return own[at, best], own[at, second], dist, third
+    def block(lo: int, hi: int):
+        own = None if cand is None else cand[lo:hi]
+        diff = patterns[lo:hi, None, :] - (weights if own is None else weights.take(own, axis=0))
+        d2 = np.einsum("nmd,nmd->nm", diff, diff)
+        rows = np.arange(d2.shape[0])
+        best = d2.argmin(axis=1)
+        dist = d2[rows, best]
+        if m == 1:
+            return best, np.full(rows.size, -1, dtype=np.int64), dist, np.full(rows.size, np.inf)
+        d2[rows, best] = np.inf
+        second = d2.argmin(axis=1)
+        d2[rows, second] = np.inf
+        if own is not None:
+            best, second = own[rows, best], own[rows, second]
+        return best, second, dist, d2.min(axis=1)
 
-    return _in_blocks(block, (patterns, cand), max(1, CHUNK // (cand.shape[1] * d)))
+    step = max(1, CHUNK // (m * d))
+    if n <= step:
+        return block(0, n)
+    out = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
+    for lo in range(0, n, step):
+        for whole, part in zip(out, block(lo, lo + step)):
+            whole[lo : lo + step] = part
+    return out
 
 
 # PrunedSearch's padded brute-force budget per run; past it one batched GEMM
@@ -531,16 +515,8 @@ def per_neuron_quantization(assignment: Assignment) -> np.ndarray:
     return out
 
 
-def mean_quantization_error(assignment: Assignment) -> float:
-    """Mean distance of all patterns to their winners.
-
-    The sum and division ``np.mean`` makes, a pairwise ``np.add.reduce``
-    divided by n, without its per-call dispatch.
-    """
-    return _mean_root(assignment.dist)
-
-
 def _mean_root(dist: np.ndarray) -> float:
-    """The mean of the roots of ``dist``, as ``mean_quantization_error``
-    takes it."""
+    """Mean distance of all patterns to their winners, from their squared
+    distances ``dist``: the sum and division ``np.mean`` makes, a pairwise
+    ``np.add.reduce`` divided by n, without its per-call dispatch."""
     return float(np.add.reduce(np.sqrt(dist)) / dist.size)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Dataset, MapState, assign_all, mean_quantization_error
+from .core import Assignment, Dataset, MapState, _mean_root, assign_all
 from .errors import DataError, MapStructureError
 
 
@@ -62,7 +62,7 @@ def quality_report(data: Dataset, map_state: MapState) -> QualityReport:
     asg = assign_all(data, map_state)
     count, fraction = dead_units(asg)
     return QualityReport(
-        qe=mean_quantization_error(asg),
+        qe=_mean_root(asg.dist),
         te=topographic_error(asg, map_state),
         dead_unit_count=count,
         dead_unit_fraction=fraction,

@@ -64,11 +64,20 @@ def export_snapshot_json(
     metrics: dict | None = None,
 ) -> None:
     """Write a map's snapshot as JSON: the bytes ``json.dump(payload,
-    indent=2)`` and a newline give, in one write."""
+    indent=2)`` and a newline give, in one write, with a numpy scalar
+    written as the Python number it holds."""
     payload = snapshot_dict(map_state, labels=labels, config=config, metrics=metrics)
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, default=_number) + "\n"
     with _open_output(path) as fh:
         fh.write(text)
+
+
+def _number(value):
+    """A numpy scalar (a config field may hold one) as the Python number it
+    holds, for ``json.dumps``; any other object it cannot write raises."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _open_output(path):

@@ -442,6 +442,18 @@ def test_one_run_experiment_records_one_row_per_map(blob_csv, tmp_path):
     assert float(rows[1]["smooth_epochs"]) == 0
 
 
+def test_numpy_scalar_config_fields_write_the_bytes_of_python_ints(tmp_path):
+    # TrainConfig keeps a numpy integer as given; the snapshots echo the
+    # config, so each run writes the number it holds
+    outs = []
+    for kind in (int, np.int64):
+        out = tmp_path / kind.__name__
+        config = TrainConfig(max_epochs=kind(5), smooth_max_epochs=kind(3))
+        run_experiment(ExperimentSpec(dataset="cluster", runs=1, output_dir=str(out), config=config))
+        outs.append(_files(out))
+    assert outs[0] == outs[1]
+
+
 def test_run_experiment_is_byte_deterministic(blob_csv, tmp_path):
     outputs = []
     for sub in ("a", "b"):
@@ -693,6 +705,43 @@ def test_cli_empty_output_paths_are_config_errors(blob_csv, tmp_path, monkeypatc
     assert main(["train", str(blob_csv), "--out", ""]) == 1
     assert sorted(tmp_path.iterdir()) == before
     assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_cli_output_that_is_its_own_input_is_a_config_error(blob_csv, tmp_path, monkeypatch, capsys):
+    # train's CSV or config file, or render's snapshot, named as the output
+    # (render's default output is the snapshot's path with an .svg suffix)
+    # would be overwritten: a config error before any work, the input kept
+    snapshot = tmp_path / "map.svg"
+    assert main(["train", str(blob_csv), "--set", "max_epochs=5", "--set", "smooth_max_epochs=5",
+                 "--out", str(snapshot)]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("max_epochs = 5\n")
+    calls = []
+
+    def failing_train(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr("amsom.cli.train", failing_train)
+    inputs = [blob_csv, cfg, snapshot]
+    before = [path.read_bytes() for path in inputs]
+    for argv in [
+        ["train", str(blob_csv), "--out", str(blob_csv)],
+        ["train", str(blob_csv), "--out", f"{tmp_path}/./{blob_csv.name}"],
+        ["train", str(blob_csv), "--config", str(cfg), "--out", str(cfg)],
+        ["render", str(snapshot)],
+        ["render", str(snapshot), "--out", str(snapshot)],
+    ]:
+        assert main(argv) == 1, argv
+        assert "own input" in capsys.readouterr().err
+    assert calls == []
+    assert [path.read_bytes() for path in inputs] == before
+    # the generator id "cluster" names no file, even where one is called so
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cluster").write_text("kept\n")
+    assert main(["train", "cluster", "--out", "cluster"]) == 3
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):

@@ -10,10 +10,10 @@ from amsom.core import (
     Dataset,
     MapState,
     PrunedSearch,
-    _exact_rows,
+    _among,
+    _mean_root,
     _search,
     assign_all,
-    mean_quantization_error,
     per_neuron_quantization,
     winner_means,
 )
@@ -97,7 +97,7 @@ def test_assign_all_single_neuron_map():
 
 
 def _same_as_exact(asg, patterns, weights):
-    winner, second, dist, _ = _exact_rows(patterns, weights)
+    winner, second, dist, _ = _among(patterns, weights)
     return (
         np.array_equal(asg.winner, winner)
         and np.array_equal(asg.second, second)
@@ -110,7 +110,7 @@ def _spy_fallback(monkeypatch):
     seen = []
     among = core._among
 
-    def spy(patterns, weights, cand):
+    def spy(patterns, weights, cand=None):
         seen.append(patterns.shape[0])
         return among(patterns, weights, cand)
 
@@ -175,7 +175,7 @@ def test_assign_all_across_chunk_boundaries(monkeypatch, chunk):
     patterns = rng.normal(size=(16, 3))
     weights = rng.normal(size=(7, 3))
     weights[4] = weights[1]
-    winner, second, dist, _ = _exact_rows(patterns, weights)
+    winner, second, dist, _ = _among(patterns, weights)
     monkeypatch.setattr(core, "CHUNK", chunk)
     asg = assign_all(Dataset(patterns), make_map(weights))
     assert np.array_equal(asg.winner, winner)
@@ -195,11 +195,11 @@ def test_one_block_searches_equal_the_blocked_ones(monkeypatch, m):
     patterns = rng.normal(size=(40, 3)) * 1e3
     weights = rng.normal(size=(m, 3)) * 1e3
     weights[-1] = weights[0]  # a duplicate neuron sends rows to the fallback
-    exact = _exact_rows(patterns, weights)
+    exact = _among(patterns, weights)
     *found, bound = _search(patterns, weights)
     for chunk in (1, 3 * m * 3, 5 * m * 3 + 1):
         monkeypatch.setattr(core, "CHUNK", chunk)
-        for a, b in zip(exact, _exact_rows(patterns, weights)):
+        for a, b in zip(exact, _among(patterns, weights)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         *blocked, blocked_bound = _search(patterns, weights)
         for a, b in zip(found, blocked):
@@ -210,13 +210,13 @@ def test_one_block_searches_equal_the_blocked_ones(monkeypatch, m):
         assert a.tobytes() == b.tobytes()
 
 
-def test_batched_search_across_blocks_equals_exact_rows_per_run(monkeypatch):
+def test_batched_search_across_blocks_equals_among_per_run(monkeypatch):
     # three runs of 7, 3 and 5 rows among 5, 6 and 2 neurons, two slots of
     # each run per score block: four blocks, the last one partial, and the
     # two shorter runs end in padded slots. Run 0 holds three copies of one
     # neuron far from the rest, and only its row 5, in the third block, is
     # near them: its scores cannot rank the copies, so one fallback call
-    # searches that row alone. Each run's rows get what _exact_rows of that
+    # searches that row alone. Each run's rows get what _among of that
     # run alone gives, blocked or searched in one block.
     rng = np.random.default_rng(7)
     shapes, d = [(7, 5), (3, 6), (5, 2)], 3
@@ -240,7 +240,7 @@ def test_batched_search_across_blocks_equals_exact_rows_per_run(monkeypatch):
         at = np.cumsum(rows) - rows
         for p, w, start, first in zip(patterns, weights, starts, at):
             part = slice(first, first + len(p))
-            winner, second, dist, third = _exact_rows(p, w)
+            winner, second, dist, third = _among(p, w)
             assert np.array_equal(found[0][part], winner + start)
             assert np.array_equal(found[1][part], second + start)
             assert found[2][part].tobytes() == dist.tobytes()
@@ -276,7 +276,7 @@ def test_batched_search_certifies_each_row_by_its_own_tol(monkeypatch):
         found = _search(np.concatenate(patterns), np.concatenate(weights), [2] * 6, own)
         assert seen == [6]
         for run, (p, w) in enumerate(zip(patterns, weights)):
-            winner, second, dist, _ = _exact_rows(p, w)
+            winner, second, dist, _ = _among(p, w)
             at = slice(2 * run, 2 * run + 2)
             assert np.array_equal(found[0][at], winner + 5 * run)
             assert np.array_equal(found[1][at], second + 5 * run)
@@ -360,7 +360,7 @@ def test_blocked_assign_all_equals_brute_force_property(monkeypatch):
         if rounded:
             patterns, weights = np.round(patterns), np.round(weights)
         monkeypatch.setattr(core, "CHUNK", default)
-        winner, second, dist, third = _exact_rows(patterns, weights)
+        winner, second, dist, third = _among(patterns, weights)
         monkeypatch.setattr(core, "CHUNK", chunk)
         asg = assign_all(Dataset(patterns), make_map(weights))
         assert np.array_equal(asg.winner, winner)
@@ -390,7 +390,7 @@ def _spy_pruned_routes(monkeypatch):
         finally:
             inside[0] = False
 
-    def spy_among(patterns, weights, cand):
+    def spy_among(patterns, weights, cand=None):
         rows["fallback" if inside[0] else "exact"] += on[0] * patterns.shape[0]
         return among(patterns, weights, cand)
 
@@ -600,7 +600,7 @@ def _spy_searches(monkeypatch):
         finally:
             inside[0] = False
 
-    def spy_among(patterns, weights, cand):
+    def spy_among(patterns, weights, cand=None):
         if not inside[0]:
             calls.append("exact")
         return among(patterns, weights, cand)
@@ -691,7 +691,7 @@ def test_pruned_search_over_runs_equals_assign_all_per_run(monkeypatch):
             for own, p, w in zip(alone, patterns, weights):
                 own.assign(w)
                 part = slice(rows, rows + len(p))
-                third = _exact_rows(p, w)[3]
+                third = _among(p, w)[3]
                 for bound in (search.bound[part], own.bound):
                     assert np.all(bound * bound <= third)
                 assert np.array_equal(search.pair[part], own.pair + start)
@@ -749,9 +749,9 @@ def test_pruned_search_over_runs_input_checks():
         PrunedSearch(data, [(2, 2), (2, 1)])
 
 
-def test_among_equals_exact_rows_on_each_rows_candidates(monkeypatch):
+def test_among_on_each_rows_candidates_equals_among_of_their_weights(monkeypatch):
     # each row's ascending candidates, padded or not with index m (a neuron
-    # at inf), against _exact_rows of those candidates' weights alone, with
+    # at inf), against _among over those candidates' weights alone, with
     # neuron indices for its positions; duplicate weights and patterns on a
     # weight make ties, and a small CHUNK splits the rows into blocks
     hypothesis = pytest.importorskip("hypothesis")
@@ -785,10 +785,10 @@ def test_among_equals_exact_rows_on_each_rows_candidates(monkeypatch):
         if padded:
             # each row keeps 2 to k of its candidates; index m fills the rest
             cand[np.arange(k) >= rng.integers(2, k + 1, size=(n, 1))] = m
-        winner, second, dist, third = core._among(patterns, weights, cand)
+        winner, second, dist, third = _among(patterns, weights, cand)
         for row, own in enumerate(cand):
             real = own[own < m]
-            best, runner, near, far = _exact_rows(patterns[row : row + 1], weights[real])
+            best, runner, near, far = _among(patterns[row : row + 1], weights[real])
             assert (winner[row], second[row]) == (real[best[0]], real[runner[0]])
             assert dist[row].tobytes() == near[0].tobytes()
             assert third[row].tobytes() == far[0].tobytes()
@@ -889,7 +889,7 @@ def test_mean_quantization_error_equals_np_mean():
     for n in sizes:
         dist = rng.random(n) * 10.0 ** rng.integers(-6, 7)
         asg = Assignment(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dist, 1)
-        got = mean_quantization_error(asg)
+        got = _mean_root(asg.dist)
         assert type(got) is float
         assert got == float(np.mean(np.sqrt(dist)))
 
@@ -912,7 +912,7 @@ def test_per_neuron_quantization_uses_nan_for_empty():
     assert pnqe[0] == pytest.approx(3.0)  # mean of sqrt(4), sqrt(16)
     assert pnqe[1] == pytest.approx(3.0)
     assert np.isnan(pnqe[2])
-    assert mean_quantization_error(asg) == pytest.approx((2.0 + 4.0 + 3.0) / 3.0)
+    assert _mean_root(asg.dist) == pytest.approx((2.0 + 4.0 + 3.0) / 3.0)
 
 
 def test_map_state_copy_is_independent():

@@ -12,8 +12,8 @@ from amsom.core import (
     Assignment,
     Dataset,
     PrunedSearch,
+    _mean_root,
     assign_all,
-    mean_quantization_error,
     winner_means,
 )
 from amsom.engine import (
@@ -617,7 +617,7 @@ def _smooth_separately_and_in_lockstep(runs):
         assert got.positions.tobytes() == want.positions.tobytes()
     # each run's last error is that of its final map
     for (data, _, _), got, reports in zip(runs, maps, together):
-        assert reports[-1].mqe == mean_quantization_error(assign_all(data, got))
+        assert reports[-1].mqe == _mean_root(assign_all(data, got).dist)
     # epoch by epoch, the runs in order within an epoch
     assert seen == sorted(seen, key=lambda pair: (pair[1], pair[0]))
     assert sorted(seen) == [(i, r.epoch) for i, (_, rs) in enumerate(alone) for r in rs]
@@ -1481,7 +1481,7 @@ def test_carried_assignment_matches_a_fresh_one(trainer, monkeypatch):
     def check(report):
         fresh = assign_all(data, ms)
         _same_assignment(made[-1], fresh)
-        assert report.mqe == mean_quantization_error(fresh)
+        assert report.mqe == _mean_root(fresh.dist)
 
     run = {"train": train, "smooth": smooth, "train_batch_som": train_batch_som}[trainer]
     _, reports = run(data, ms, cfg, progress=check)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import amsom.metrics
-from amsom.core import Dataset, assign_all, mean_quantization_error
+from amsom.core import Dataset, _mean_root, assign_all
 from amsom.errors import DataError, MapStructureError
 from amsom.metrics import dead_units, label_neurons, quality_report, topographic_error
 
@@ -13,7 +13,7 @@ def test_quantization_error_matches_a_plain_loop():
     rng = np.random.default_rng(51)
     data = Dataset(rng.normal(size=(30, 3)))
     ms = make_map(rng.normal(size=(5, 3)))
-    got = mean_quantization_error(assign_all(data, ms))
+    got = _mean_root(assign_all(data, ms).dist)
     total = 0.0
     for p in data.patterns:
         total += min(np.linalg.norm(p - w) for w in ms.weights)
@@ -117,7 +117,7 @@ def test_quality_report_bundles_the_measures(monkeypatch):
     report = quality_report(data, ms)
     assert len(seen) == 1
     asg = seen[0]
-    assert report.qe == mean_quantization_error(asg)
+    assert report.qe == _mean_root(asg.dist)
     assert report.te == topographic_error(asg, ms)
     assert (report.dead_unit_count, report.dead_unit_fraction) == dead_units(asg)
     assert report.neuron_labels == label_neurons(asg, data.labels)

@@ -92,6 +92,18 @@ def test_snapshot_file_holds_the_bytes_json_dump_writes(tmp_path, extras):
     assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
+def test_snapshot_writes_a_numpy_scalar_as_the_number_it_holds(tmp_path):
+    # a config may hold numpy scalars; they are echoed as Python numbers,
+    # and an object JSON cannot write still raises
+    ms = make_map([[0.0], [1.0]])
+    numpy_config = {"max_epochs": np.int64(5), "sf": np.float32(0.5), "normalize": np.bool_(True)}
+    export_snapshot_json(ms, tmp_path / "numpy.json", config=numpy_config)
+    export_snapshot_json(ms, tmp_path / "plain.json", config={"max_epochs": 5, "sf": 0.5, "normalize": True})
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        export_snapshot_json(ms, tmp_path / "bad.json", config={"sf": object()})
+
+
 def test_snapshot_version_guard(tmp_path):
     ms = make_map([[1.0], [2.0]])
     path = tmp_path / "map.json"

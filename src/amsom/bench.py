@@ -66,9 +66,15 @@ class ExperimentSpec:
         check_split_fractions((self.train_frac, self.test_frac, self.val_frac))
 
 
+def dataset_file(name: str) -> str | None:
+    """The file a dataset reference names: None for the generator id
+    "cluster", else the reference itself, a CSV path."""
+    return None if name == "cluster" else name
+
+
 def load_dataset(name: str, label_column=None, seed: int = 0) -> Dataset:
     """Resolve a dataset reference: the "cluster" generator id or a CSV path."""
-    if name == "cluster":
+    if dataset_file(name) is None:
         return generate_cluster_dataset(seed)
     return load_csv(name, label_column=label_column)
 
@@ -99,18 +105,19 @@ def read_config_file(path) -> dict:
     return values
 
 
-def apply_config_values(values: dict, target):
-    """Overlay flat key/value strings onto a TrainConfig or an ExperimentSpec
-    (but not its nested ``config``), typed by each field's annotation."""
-    return replace(target, **_typed_values(values, type(target)))
-
-
-def _typed_values(values: dict, cls) -> dict:
+def typed_values(values: dict, cls, source) -> dict:
+    """Flat key/value strings typed by each field's annotation in ``cls``, a
+    TrainConfig or an ExperimentSpec (but not its nested ``config``). An
+    unknown key or a value no kind of its field reads raises a ConfigError
+    that names ``source``, the file or option the values came from."""
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "config"}
     unknown = [key for key in values if key not in fields]
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r}")
-    return {key: _read_field(fields[key], raw) for key, raw in values.items()}
+    try:
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r}")
+        return {key: _read_field(fields[key], raw) for key, raw in values.items()}
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def experiment_spec_from_file(path) -> ExperimentSpec:
@@ -121,10 +128,10 @@ def experiment_spec_from_file(path) -> ExperimentSpec:
     """
     values = {"dataset": "", **read_config_file(path)}  # no dataset fails as an empty one
     config_keys = [f.name for f in dataclasses.fields(TrainConfig) if f.name in values]
-    config_values = {k: values.pop(k) for k in config_keys}
+    config_values = typed_values({k: values.pop(k) for k in config_keys}, TrainConfig, path)
+    spec_values = typed_values(values, ExperimentSpec, path)
     try:
-        config = TrainConfig(**_typed_values(config_values, TrainConfig))
-        return ExperimentSpec(**_typed_values(values, ExperimentSpec), config=config)
+        return ExperimentSpec(**spec_values, config=TrainConfig(**config_values))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

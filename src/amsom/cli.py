@@ -12,12 +12,13 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    apply_config_values,
+    dataset_file,
     experiment_spec_from_file,
     load_dataset,
     parse_label_column,
     read_config_file,
     run_experiment,
+    typed_values,
 )
 from .engine import TrainConfig, smooth, train
 from .errors import ConfigError, DataError
@@ -54,25 +55,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_not_an_input(out, *inputs) -> None:
-    """Raise ConfigError when the output ``out`` is the same file as one of
-    ``inputs`` (None for an input that is not a file), which the command
-    would overwrite."""
-    for path in inputs:
-        if path and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
-            raise ConfigError(f"output {out} is the command's own input {path}")
-
-
 def _cmd_train(args) -> int:
-    values = read_config_file(args.config) if args.config else {}
+    values = read_config_file(args.config) if args.config is not None else {}
+    pairs = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        values[key.strip()] = value.strip()
-    config = apply_config_values(values, TrainConfig())
-    check_output_path(args.out)
-    _check_not_an_input(args.out, None if args.dataset == "cluster" else args.dataset, args.config)
+        pairs[key.strip()] = value.strip()
+    # each source is typed under its own name; a file's value that a --set
+    # pair overrides is never read, and the merged values are checked once
+    values = {k: v for k, v in values.items() if k not in pairs}
+    config = TrainConfig(
+        **typed_values(values, TrainConfig, args.config), **typed_values(pairs, TrainConfig, "--set")
+    )
+    check_output_path(args.out, dataset_file(args.dataset), args.config)
 
     data = load_dataset(args.dataset, args.label_column, seed=config.seed)
     map_state, cfg = create_initial_map(data, config)
@@ -104,6 +101,11 @@ def _cmd_bench(args) -> int:
     spec = experiment_spec_from_file(args.spec)
     if args.out is not None:
         spec = dataclasses.replace(spec, output_dir=args.out)
+    # the files run_experiment writes; a directory yet to be made holds no input
+    if os.path.exists(spec.output_dir):
+        names = [f"run_{run:02d}_{a}.json" for run in range(spec.runs) for a in ("amsom", "som")]
+        for name in names + ["runs.csv", "summary.csv", "summary.txt"]:
+            check_output_path(os.path.join(spec.output_dir, name), dataset_file(spec.dataset), args.spec)
     summary = run_experiment(spec)
     for algorithm in ("amsom", "som"):
         stats = summary[algorithm]
@@ -118,8 +120,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    out = args.out or str(Path(args.snapshot).with_suffix(".svg"))
-    _check_not_an_input(out, args.snapshot)
+    if not Path(args.snapshot).name:  # "", "." or "/": no file, and no default output
+        raise DataError(f"cannot read snapshot {args.snapshot!r}: the path names no file")
+    out = str(Path(args.snapshot).with_suffix(".svg")) if args.out is None else args.out
+    check_output_path(out, args.snapshot)
     map_state, payload = load_snapshot(args.snapshot)
     render_svg(map_state, out, labels=payload.get("neuron_labels"))
     print(f"svg: {out}")

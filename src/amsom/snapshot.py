@@ -89,15 +89,19 @@ def _open_output(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def check_output_path(path) -> None:
-    """Raise the ConfigError of ``_open_output`` up front, creating nothing,
-    when ``path`` is empty or a directory, or its directory is missing or
-    read-only."""
+def check_output_path(path, *inputs) -> None:
+    """Raise ConfigError, creating nothing, when a command may not write
+    ``path``: it is empty or a directory, its directory is missing or
+    read-only (the error ``_open_output`` would raise), or it is the same
+    file as one of the command's ``inputs`` (None for one that is no file)."""
     folder = os.path.dirname(path) or "."
     if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
         path if os.path.exists(path) else folder, os.W_OK
     ):
         raise ConfigError(f"cannot write {path}: not a writable file in an existing directory")
+    for source in inputs:
+        if source and os.path.exists(path) and os.path.exists(source) and os.path.samefile(path, source):
+            raise ConfigError(f"output {path} is the command's own input {source}")
 
 
 def _field(payload: dict, key: str, shape: tuple, dtype) -> np.ndarray:

@@ -14,12 +14,12 @@ from amsom.bench import (
     SUMMARY_METRICS,
     ExperimentSpec,
     _derived_seeds,
-    apply_config_values,
     experiment_spec_from_file,
     load_dataset,
     parse_label_column,
     read_config_file,
     run_experiment,
+    typed_values,
 )
 from amsom.cli import main
 from amsom.core import Dataset
@@ -27,9 +27,9 @@ from amsom.datasets import split_dataset
 from amsom.engine import TrainConfig
 from amsom.errors import ConfigError, TrainingError
 from amsom.metrics import quality_report
-from amsom.snapshot import load_snapshot
+from amsom.snapshot import export_snapshot_json, load_snapshot
 
-from conftest import IRIS_CSV
+from conftest import IRIS_CSV, make_map
 
 
 @pytest.fixture()
@@ -57,22 +57,22 @@ def test_read_config_file(tmp_path):
         read_config_file(path)
 
 
-def test_apply_config_values_typing():
-    cfg = apply_config_values(
+def test_typed_values_typing():
+    cfg = TrainConfig(**typed_values(
         {"gamma": "2.5", "age_max": "10", "q_max": "none", "topology": "hexagonal", "seed": "7"},
-        TrainConfig(),
-    )
+        TrainConfig, "run.cfg",
+    ))
     assert cfg.gamma == 2.5
     assert cfg.age_max == 10
     assert cfg.q_max is None
     assert cfg.topology == "hexagonal"
     assert cfg.seed == 7
-    assert apply_config_values({"q_max": "3"}, TrainConfig()).q_max == 3
+    assert typed_values({"q_max": "3"}, TrainConfig, "run.cfg") == {"q_max": 3}
 
-    with pytest.raises(ConfigError):
-        apply_config_values({"not_a_field": "1"}, TrainConfig())
-    with pytest.raises(ConfigError):
-        apply_config_values({"gamma": "abc"}, TrainConfig())
+    with pytest.raises(ConfigError, match="^run.cfg: unknown key 'not_a_field'$"):
+        typed_values({"not_a_field": "1"}, TrainConfig, "run.cfg")
+    with pytest.raises(ConfigError, match="^--set: bad value for gamma: 'abc'$"):
+        typed_values({"gamma": "abc"}, TrainConfig, "--set")
 
 
 SPEC = ExperimentSpec(dataset="x.csv")
@@ -100,9 +100,9 @@ SPEC = ExperimentSpec(dataset="x.csv")
 def test_overlay_types_each_value_by_its_field(target, key, raw, expected):
     if expected is ConfigError:
         with pytest.raises(ConfigError, match=key):
-            apply_config_values({key: raw}, target)
+            typed_values({key: raw}, type(target), "spec.cfg")
         return
-    result = getattr(apply_config_values({key: raw}, target), key)
+    result = getattr(dataclasses.replace(target, **typed_values({key: raw}, type(target), "spec.cfg")), key)
     assert result == expected and type(result) is type(expected)
     if key == "label_column":  # the --label-column reader is the same parser
         assert parse_label_column(raw) == expected
@@ -287,9 +287,28 @@ def _two_run_spec(tmp_path, blob_csv):
     return spec
 
 
-def test_failed_run_keeps_the_completed_runs_and_names_itself(blob_csv, tmp_path, capsys):
+def _fail_writing(monkeypatch, name):
+    """Make bench's write of the snapshot ``name`` fail the way a path that
+    cannot be opened does, once the run has started."""
+    export = bench.export_snapshot_json
+
+    def export_or_fail(map_state, path, **kwargs):
+        if Path(path).name == name:
+            raise ConfigError(f"cannot write {path}: blocked")
+        export(map_state, path, **kwargs)
+
+    monkeypatch.setattr(bench, "export_snapshot_json", export_or_fail)
+
+
+def test_failed_run_keeps_the_completed_runs_and_names_itself(blob_csv, tmp_path, monkeypatch, capsys):
+    # a directory where an output file goes is found before any run
     out = tmp_path / "out"
     (out / "run_01_amsom.json").mkdir(parents=True)
+    assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["run_01_amsom.json"]
+    (out / "run_01_amsom.json").rmdir()
+
+    _fail_writing(monkeypatch, "run_01_amsom.json")
     assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
 
     with open(out / "runs.csv") as fh:
@@ -304,9 +323,9 @@ def test_failed_run_keeps_the_completed_runs_and_names_itself(blob_csv, tmp_path
 
     # a failure in the first run leaves no run to summarise
     out = tmp_path / "first"
-    (out / "run_00_som.json").mkdir(parents=True)
+    _fail_writing(monkeypatch, "run_00_som.json")
     assert main(["bench", str(_two_run_spec(tmp_path, blob_csv)), "--out", str(out)]) == 1
-    assert sorted(p.name for p in out.iterdir()) == ["run_00_amsom.json", "run_00_som.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["run_00_amsom.json"]
     capsys.readouterr()  # keep the error lines out of the test log
 
 
@@ -708,9 +727,10 @@ def test_cli_empty_output_paths_are_config_errors(blob_csv, tmp_path, monkeypatc
 
 
 def test_cli_output_that_is_its_own_input_is_a_config_error(blob_csv, tmp_path, monkeypatch, capsys):
-    # train's CSV or config file, or render's snapshot, named as the output
-    # (render's default output is the snapshot's path with an .svg suffix)
-    # would be overwritten: a config error before any work, the input kept
+    # train's CSV or config file, render's snapshot or bench's dataset or spec
+    # file, named as an output (render's default output is the snapshot's
+    # path with an .svg suffix), would be overwritten: a config error before
+    # any work, the input kept
     snapshot = tmp_path / "map.svg"
     assert main(["train", str(blob_csv), "--set", "max_epochs=5", "--set", "smooth_max_epochs=5",
                  "--out", str(snapshot)]) == 0
@@ -723,7 +743,17 @@ def test_cli_output_that_is_its_own_input_is_a_config_error(blob_csv, tmp_path, 
         raise RuntimeError("training failed")
 
     monkeypatch.setattr("amsom.cli.train", failing_train)
-    inputs = [blob_csv, cfg, snapshot]
+    # bench's dataset, or its spec file, in its output_dir under a name it writes
+    quick = "label_column = label\nruns = 1\nmax_epochs = 3\nsmooth_max_epochs = 2\n"
+    (tmp_path / "o2").mkdir()
+    (tmp_path / "o3").mkdir()
+    own_csv = tmp_path / "o2" / "runs.csv"
+    own_csv.write_bytes(blob_csv.read_bytes())
+    spec = tmp_path / "o2.cfg"
+    spec.write_text(f"dataset = {own_csv}\noutput_dir = {own_csv.parent}\n" + quick)
+    own_spec = tmp_path / "o3" / "summary.txt"
+    own_spec.write_text(f"dataset = {blob_csv}\noutput_dir = {own_spec.parent}\n" + quick)
+    inputs = [blob_csv, cfg, snapshot, own_csv, own_spec]
     before = [path.read_bytes() for path in inputs]
     for argv in [
         ["train", str(blob_csv), "--out", str(blob_csv)],
@@ -731,17 +761,100 @@ def test_cli_output_that_is_its_own_input_is_a_config_error(blob_csv, tmp_path, 
         ["train", str(blob_csv), "--config", str(cfg), "--out", str(cfg)],
         ["render", str(snapshot)],
         ["render", str(snapshot), "--out", str(snapshot)],
+        ["bench", str(spec)],
+        ["bench", str(own_spec)],
     ]:
         assert main(argv) == 1, argv
         assert "own input" in capsys.readouterr().err
     assert calls == []
     assert [path.read_bytes() for path in inputs] == before
+    assert [p.name for p in own_csv.parent.iterdir()] == ["runs.csv"]
+    assert [p.name for p in own_spec.parent.iterdir()] == ["summary.txt"]
     # the generator id "cluster" names no file, even where one is called so
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cluster").write_text("kept\n")
     assert main(["train", "cluster", "--out", "cluster"]) == 3
     assert len(calls) == 1
     capsys.readouterr()
+
+
+# Every path a command reads or writes, through cli.main: a path that names
+# no file, a directory, a missing file or directory, or the command's own
+# input. Each is refused before any work, with exit 1 (an output or a
+# config file) or 2 (an input data file), writing nothing and changing no
+# input. Inputs live in the working directory: runs.csv is train's CSV and
+# bench's dataset, so bench's "--out ." holds its own dataset.
+QUICK = ["--set", "max_epochs=3", "--set", "smooth_max_epochs=2"]
+PATH_CASES = {
+    "train-csv-empty": (["train", "", "--out", "map.json"] + QUICK, 2),
+    "train-csv-dot": (["train", ".", "--out", "map.json"] + QUICK, 2),
+    "train-csv-root": (["train", "/", "--out", "map.json"] + QUICK, 2),
+    "train-csv-directory": (["train", "sub", "--out", "map.json"] + QUICK, 2),
+    "train-csv-missing": (["train", "missing.csv", "--out", "map.json"] + QUICK, 2),
+    "train-config-empty": (["train", "runs.csv", "--config", "", "--out", "map.json"] + QUICK, 1),
+    "train-config-dot": (["train", "runs.csv", "--config", ".", "--out", "map.json"], 1),
+    "train-config-missing": (["train", "runs.csv", "--config", "missing.cfg"], 1),
+    "render-snapshot-empty": (["render", ""], 2),
+    "render-snapshot-dot": (["render", "."], 2),
+    "render-snapshot-root": (["render", "/"], 2),
+    "render-snapshot-directory": (["render", "sub"], 2),
+    "render-snapshot-missing": (["render", "missing.json"], 2),
+    "bench-spec-empty": (["bench", ""], 1),
+    "bench-spec-dot": (["bench", "."], 1),
+    "bench-spec-root": (["bench", "/"], 1),
+    "bench-spec-directory": (["bench", "sub"], 1),
+    "bench-spec-missing": (["bench", "missing.cfg"], 1),
+    "train-out-empty": (["train", "runs.csv", "--out", ""] + QUICK, 1),
+    "train-out-dot": (["train", "runs.csv", "--out", "."] + QUICK, 1),
+    "train-out-directory": (["train", "runs.csv", "--out", "sub"] + QUICK, 1),
+    "train-out-missing-directory": (["train", "runs.csv", "--out", "nodir/map.json"] + QUICK, 1),
+    "train-out-own-csv": (["train", "runs.csv", "--out", "runs.csv"] + QUICK, 1),
+    "render-out-empty": (["render", "map.json", "--out", ""], 1),
+    "render-out-dot": (["render", "map.json", "--out", "."], 1),
+    "render-out-directory": (["render", "map.json", "--out", "sub"], 1),
+    "render-out-missing-directory": (["render", "map.json", "--out", "nodir/map.svg"], 1),
+    "render-out-own-snapshot": (["render", "map.json", "--out", "map.json"], 1),
+    "bench-out-empty": (["bench", "spec.cfg", "--out", ""], 1),
+    "bench-out-own-spec": (["bench", "spec.cfg", "--out", "spec.cfg"], 1),
+    "bench-out-holds-own-dataset": (["bench", "spec.cfg", "--out", "."], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", PATH_CASES.values(), ids=PATH_CASES.keys())
+def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.csv").write_bytes(blob_csv.read_bytes())
+    blob_csv.unlink()
+    export_snapshot_json(make_map([[0.0, 0.0], [1.0, 1.0]], edges=[(0, 1)]), "map.json")
+    (tmp_path / "spec.cfg").write_text(
+        "dataset = runs.csv\nlabel_column = label\nruns = 1\nmax_epochs = 3\nsmooth_max_epochs = 2\n"
+    )
+    (tmp_path / "sub").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    assert main(argv) == code, capsys.readouterr().err
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+    capsys.readouterr()
+
+
+def test_cli_train_config_errors_name_their_source(blob_csv, tmp_path, capsys):
+    # a value of a --config file or a --set pair that cannot be read names
+    # where it came from, as a bench spec file's values do
+    cfg, out = tmp_path / "train.cfg", tmp_path / "map.json"
+    for line, message in [("gamma = abc", "bad value for gamma: 'abc'"), ("bogus = 1", "unknown key 'bogus'")]:
+        cfg.write_text(line + "\n")
+        assert main(["train", str(blob_csv), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+    assert main(["train", str(blob_csv), "--set", "gamma=abc", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: --set: bad value for gamma: 'abc'\n"
+    # a range that depends on both sources is checked once, on the merged values
+    cfg.write_text("sigma0 = 2\n")
+    assert main(["train", str(blob_csv), "--config", str(cfg), "--set", "sigma_final=3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: sigma0 must be >= sigma_final\n"
+    assert not out.exists()
+    # a file's value that a --set pair overrides is never read
+    cfg.write_text("gamma = abc\nmax_epochs = 3\nsmooth_max_epochs = 2\n")
+    assert main(["train", str(blob_csv), "--config", str(cfg), "--set", "gamma=4", "--out", str(out)]) == 0
+    assert load_snapshot(out)[1]["config"]["gamma"] == 4.0
 
 
 def test_cli_sigma_final_alone_sets_the_start_width(tmp_path):

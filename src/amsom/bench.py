@@ -19,7 +19,7 @@ from .engine import TrainConfig, smooth_runs, train
 from .errors import ConfigError, DataError
 from .grid import _check_fields, _read_field, create_initial_map
 from .metrics import quality_report
-from .snapshot import export_snapshot_json
+from .snapshot import _open_output, export_snapshot_json
 
 SUMMARY_METRICS = [
     "qe_train",
@@ -228,7 +228,7 @@ def _aggregate(records: list) -> dict:
 
 
 def _write_summary(out: Path, summary: dict, runs_done: int, failed: str | None) -> None:
-    with open(out / "summary.csv", "w", newline="") as fh:
+    with _open_output(out / "summary.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "metric", "mean", "std"])
         for algorithm in ("amsom", "som"):
@@ -247,12 +247,13 @@ def _write_summary(out: Path, summary: dict, runs_done: int, failed: str | None)
         lines.append(
             f"{metric:<22}{a['mean']:>14.6f}{a['std']:>12.6f}{s['mean']:>14.6f}{s['std']:>12.6f}"
         )
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    with _open_output(out / "summary.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_runs_csv(out: Path, records: list) -> None:
     columns = ["algorithm", "run"] + SUMMARY_METRICS
-    with open(out / "runs.csv", "w", newline="") as fh:
+    with _open_output(out / "runs.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for record in records:

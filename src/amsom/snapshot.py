@@ -6,8 +6,10 @@ same map always serializes to the same bytes and round-trips losslessly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 
 import numpy as np
 
@@ -64,43 +66,97 @@ def export_snapshot_json(
     metrics: dict | None = None,
 ) -> None:
     """Write a map's snapshot as JSON: the bytes ``json.dump(payload,
-    indent=2)`` and a newline give, in one write, with a numpy scalar
-    written as the Python number it holds."""
+    indent=2)`` and a newline give, with a numpy scalar written as the
+    Python number it holds. The text is streamed to the file, never held
+    whole, and an object JSON cannot write leaves any previous file as it
+    was, unless ``_open_output`` writes that file in place."""
     payload = snapshot_dict(map_state, labels=labels, config=config, metrics=metrics)
-    text = json.dumps(payload, indent=2, default=_number) + "\n"
     with _open_output(path) as fh:
-        fh.write(text)
+        json.dump(payload, fh, indent=2, default=_number)
+        fh.write("\n")
 
 
 def _number(value):
     """A numpy scalar (a config field may hold one) as the Python number it
-    holds, for ``json.dumps``; any other object it cannot write raises."""
+    holds, for ``json.dump``; any other object it cannot write raises."""
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _open_output(path):
-    """Open an output file for writing. Its path is an option of the run,
-    so a path that cannot be opened raises ConfigError."""
+@contextlib.contextmanager
+def _open_output(path, newline=None):
+    """Write an output file: the one way the package opens a file for writing.
+
+    Yields a UTF-8 text file. A new output, or a regular file of the writing
+    user's with one link in a writable directory, is written to a new
+    temporary beside the path a symlink leads to (so the link stays a link),
+    created with the mode ``open(path, "w")`` gives a new file or the
+    permission bits of the file it replaces. On success the temporary is
+    moved over that path; on any error it is removed and the error
+    re-raised, so a write that fails partway leaves the previous file whole.
+    The moved file is the writing user's and has the directory's default
+    ACL and no extended attributes. Any other existing output (a device,
+    a FIFO, a hard link, another user's file, or a file in a read-only
+    directory) is written in place, as ``open(path, "w")`` writes it. The
+    path is an option of the run, so one that ``check_output_path`` refuses
+    or that cannot be opened raises ConfigError.
+    """
+    check_output_path(path)
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
     try:
-        return open(path, "w")
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.access(folder, os.W_OK)
+    ):
+        try:
+            fh = open(path, "w", encoding="utf-8", newline=newline)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        with fh:
+            yield fh
+        return
+    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def check_output_path(path, *inputs) -> None:
     """Raise ConfigError, creating nothing, when a command may not write
-    ``path``: it is empty or a directory, its directory is missing or
-    read-only (the error ``_open_output`` would raise), or it is the same
+    ``path``: it is empty or a directory, it is a file that is read-only
+    (one that ``_open_output`` could otherwise replace), it names no file
+    and the directory of the path it leads to (through any symlink), where
+    ``_open_output`` creates it, is missing or read-only, or it is the same
     file as one of the command's ``inputs`` (None for one that is no file)."""
-    folder = os.path.dirname(path) or "."
-    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
-        path if os.path.exists(path) else folder, os.W_OK
+    folder = os.path.dirname(os.path.realpath(path)) if path else ""
+    exists = bool(path) and os.path.exists(path)
+    if (
+        not path
+        or os.path.isdir(path)
+        # os.access grants root every file, whatever its mode
+        or (exists and not (os.access(path, os.W_OK) and os.stat(path).st_mode & 0o222))
+        or (not exists and not (os.path.isdir(folder) and os.access(folder, os.W_OK)))
     ):
         raise ConfigError(f"cannot write {path}: not a writable file in an existing directory")
     for source in inputs:
-        if source and os.path.exists(path) and os.path.exists(source) and os.path.samefile(path, source):
+        if source and exists and os.path.exists(source) and os.path.samefile(path, source):
             raise ConfigError(f"output {path} is the command's own input {source}")
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import stat
 import subprocess
 import sys
 from itertools import groupby
@@ -491,6 +492,42 @@ def test_run_experiment_is_byte_deterministic(blob_csv, tmp_path):
         assert outputs[0][name] == outputs[1][name], name
 
 
+def test_a_directory_at_summary_txt_is_a_config_error_after_the_runs(blob_csv, tmp_path):
+    # through the library no output is checked up front: the finished runs
+    # are written, and the summary that cannot be is a config error
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    spec = ExperimentSpec(
+        dataset=str(blob_csv), runs=1, label_column="label", output_dir=str(out), config=_quick_config()
+    )
+    with pytest.raises(ConfigError, match="summary.txt"):
+        run_experiment(spec)
+    names = ["run_00_amsom.json", "run_00_som.json", "runs.csv", "summary.csv", "summary.txt"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for algorithm in ("amsom", "som"):
+        load_snapshot(out / f"run_00_{algorithm}.json")
+
+
+def test_summary_txt_is_utf8_under_an_ascii_locale(tmp_path):
+    # a FAILED line holds an error message, which can name a non-ASCII
+    # column or path; the file is UTF-8 whatever the locale's encoding
+    script = (
+        "import sys; from pathlib import Path; from amsom import bench\n"
+        "stat = {'mean': 0.0, 'std': 0.0}\n"
+        "summary = {a: {m: stat for m in bench.SUMMARY_METRICS} for a in ('amsom', 'som')}\n"
+        "bench._write_summary(Path(sys.argv[1]), summary, 1, \"label column 'esp\\u00e8ce'\")\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+        LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    text = (tmp_path / "summary.txt").read_bytes()
+    assert "FAILED: label column 'espèce' (partial results)\n".encode("utf-8") in text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv", "summary.txt"]
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -817,6 +854,7 @@ PATH_CASES = {
     "bench-out-empty": (["bench", "spec.cfg", "--out", ""], 1),
     "bench-out-own-spec": (["bench", "spec.cfg", "--out", "spec.cfg"], 1),
     "bench-out-holds-own-dataset": (["bench", "spec.cfg", "--out", "."], 1),
+    "train-out-read-only": (["train", "runs.csv", "--out", "locked.json"] + QUICK, 1),
 }
 
 
@@ -830,10 +868,75 @@ def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, 
         "dataset = runs.csv\nlabel_column = label\nruns = 1\nmax_epochs = 3\nsmooth_max_epochs = 2\n"
     )
     (tmp_path / "sub").mkdir()
+    (tmp_path / "locked.json").write_text("kept\n")
+    os.chmod(tmp_path / "locked.json", 0o444)  # refused even for root, which may write it
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     assert main(argv) == code, capsys.readouterr().err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
     capsys.readouterr()
+
+
+# An output that exists is replaced in the form it has: written through a
+# symlink, whose target gets the bytes while the link stays a link, or
+# keeping a file's permission bits. A new output gets the mode that
+# open(path, "w") gives a new file under the umask.
+@pytest.mark.parametrize("kind", ["train-out-symlink", "train-out-mode-0600"])
+def test_cli_output_keeps_its_link_and_its_mode(kind, blob_csv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["train", str(blob_csv)] + QUICK + ["--out"]
+    assert main(args + ["fresh.json"]) == 0
+    Path("plain").write_text("")
+    assert os.stat("fresh.json").st_mode == os.stat("plain").st_mode
+    if kind == "train-out-symlink":
+        Path("target.json").write_text("old\n")
+        os.symlink("target.json", "out.json")
+    else:
+        Path("out.json").write_text("old\n")
+        os.chmod("out.json", 0o600)
+    assert main(args + ["out.json"]) == 0
+    if kind == "train-out-symlink":
+        assert os.readlink("out.json") == "target.json"
+    else:
+        assert stat.S_IMODE(os.stat("out.json").st_mode) == 0o600
+    assert Path("out.json").read_bytes() == Path("fresh.json").read_bytes()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]  # no temporary left
+
+
+# An existing output that a new file could not stand in for is written in
+# place, as open(path, "w") writes it: a FIFO stays a FIFO (a device such as
+# /dev/null is one more case of it), a hard link keeps sharing its bytes,
+# and another user's file keeps its owner.
+@pytest.mark.parametrize("kind", ["fifo", "hard-link", "other-owner"])
+def test_cli_output_that_cannot_be_replaced_is_written_in_place(kind, blob_csv, tmp_path, monkeypatch):
+    import threading
+
+    monkeypatch.chdir(tmp_path)
+    args = ["train", str(blob_csv)] + QUICK + ["--out"]
+    assert main(args + ["fresh.json"]) == 0
+    read = []
+    if kind == "fifo":
+        os.mkfifo("out.json")
+        reader = threading.Thread(target=lambda: read.append(Path("out.json").read_bytes()), daemon=True)
+        reader.start()
+    else:
+        Path("out.json").write_text("old\n")
+        if kind == "hard-link":
+            os.link("out.json", "twin.json")
+        else:
+            uid = os.stat("out.json").st_uid
+            monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
+    inode = os.stat("out.json").st_ino
+    assert main(args + ["out.json"]) == 0
+    assert os.stat("out.json").st_ino == inode
+    if kind == "fifo":
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.stat("out.json").st_mode)
+        assert read == [Path("fresh.json").read_bytes()]
+    else:
+        assert Path("out.json").read_bytes() == Path("fresh.json").read_bytes()
+        if kind == "hard-link":
+            assert os.stat("twin.json").st_ino == inode and os.stat("out.json").st_nlink == 2
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]  # no temporary made
 
 
 def test_cli_train_config_errors_name_their_source(blob_csv, tmp_path, capsys):

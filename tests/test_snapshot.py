@@ -1,11 +1,14 @@
+import ast
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amsom import snapshot
 from amsom.cli import main
 from amsom.core import Dataset
 from amsom.engine import TrainConfig, train
@@ -102,6 +105,89 @@ def test_snapshot_writes_a_numpy_scalar_as_the_number_it_holds(tmp_path):
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
     with pytest.raises(TypeError, match="not JSON serializable"):
         export_snapshot_json(ms, tmp_path / "bad.json", config={"sf": object()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["numpy.json", "plain.json"]
+
+
+def test_a_snapshot_that_fails_partway_leaves_the_previous_file_whole(tmp_path, monkeypatch):
+    # the text streams into a temporary beside the file, which replaces the
+    # file only once whole: an object JSON cannot write, met after the
+    # weights reached the disk, leaves the old bytes and no temporary
+    ms = make_map(np.arange(2000.0).reshape(500, 4))  # weights over several write buffers
+    path = tmp_path / "map.json"
+    export_snapshot_json(ms, path)
+    before = path.read_bytes()
+    streamed = []
+
+    def number_or_fail(value):
+        streamed.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+        raise TypeError("not JSON serializable")
+
+    monkeypatch.setattr(snapshot, "_number", number_or_fail)
+    with pytest.raises(TypeError):
+        export_snapshot_json(ms, path, config={"max_epochs": np.int64(5)})
+    assert len(streamed) == 1 and streamed[0] > 0  # it failed partway through
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "amsom"
+
+
+def _file_writes(source: str) -> list:
+    """(function, line) of each call in ``source`` that may open a file for
+    writing: builtin or ``Path.open`` with a mode that is not a read-only
+    literal, any ``os.open``, ``write_text`` or ``write_bytes``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func, args = node.func, list(node.args)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+                found.append((function, node.lineno))
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and (
+                func.value.id == "os" and func.attr == "open"
+            ):
+                found.append((function, node.lineno))
+            elif (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+            ):
+                at = 1 if isinstance(func, ast.Name) else 0  # Path.open takes no path
+                if mode is None and len(args) > at:
+                    mode = args[at]
+                read_only = mode is None or (
+                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")
+                )
+                if not read_only:
+                    found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_output_writer_opens_a_file_for_writing():
+    # every output goes through snapshot._open_output, which makes the write
+    # atomic and UTF-8; the scan itself finds each form it looks for
+    sample = (
+        "import os\n"
+        "def f(p, m):\n"
+        "    open(p, 'w'); open(p, mode='a'); open(p, m); open(p, 'r+b'); p.open('x')\n"
+        "    os.open(p, os.O_RDONLY); p.write_text(''); p.write_bytes(b'')\n"
+        "    open(p); open(p, 'rb'); open(p, encoding='utf-8'); p.open(); p.read_text()\n"
+    )
+    assert _file_writes(sample) == [("f", 3)] * 5 + [("f", 4)] * 3
+    writes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for function, line in _file_writes(path.read_text(encoding="utf-8")):
+            writes.setdefault(f"{path.name}:{function}", []).append(line)
+    assert list(writes) == ["snapshot.py:_open_output"]
+    # the in-place open, and the temporary's os.open and its open
+    assert len(writes["snapshot.py:_open_output"]) == 3
 
 
 def test_snapshot_version_guard(tmp_path):

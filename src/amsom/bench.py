@@ -151,21 +151,19 @@ def _minmax_scaled(reference: Dataset, targets: list) -> list:
 @dataclass
 class _Paired:
     """One paired run between its stages (trained, smoothed, finished): its
-    splits, resolved config, both maps and each phase's epoch count, which
-    its ``progress`` hooks raise before showing each report to the
-    experiment's epoch hook."""
+    splits, the dataset that sizes its lattice, its resolved config, the
+    adaptive map and each phase's epoch count, which its ``progress`` hooks
+    raise before showing each report to the experiment's epoch hook."""
 
     train_data: Dataset
     test_data: Dataset
+    sizing: Dataset
     cfg: TrainConfig
     amsom_map: MapState
-    som_map: MapState
     epoch_hook: object = None
     epochs: dict = field(default_factory=lambda: {"train": 0, "smooth": 0, "baseline": 0})
 
-    def progress(self, phase: str):
-        map_state = self.som_map if phase == "baseline" else self.amsom_map
-
+    def progress(self, phase: str, map_state: MapState):
         def count(report):
             self.epochs[phase] += 1
             if self.epoch_hook is not None:
@@ -175,22 +173,23 @@ class _Paired:
 
 
 def _train_paired(train_data, test_data, config, sizing, epoch_hook) -> _Paired:
-    """Stage 1: the initial map, its baseline copy, and the adaptive training."""
+    """Stage 1: the initial map and the adaptive training."""
     amsom_map, cfg = create_initial_map(train_data, config, sizing=sizing)
-    paired = _Paired(train_data, test_data, cfg, amsom_map, amsom_map.copy(), epoch_hook)
-    train(train_data, amsom_map, cfg, progress=paired.progress("train"))
+    paired = _Paired(train_data, test_data, sizing, cfg, amsom_map, epoch_hook)
+    train(train_data, amsom_map, cfg, progress=paired.progress("train", amsom_map))
     return paired
 
 
 def _smooth_paired(group: list) -> None:
     """Stage 2: one lockstep smoothing of every run of ``group``."""
-    smooth_runs([(p.train_data, p.amsom_map, p.cfg, p.progress("smooth")) for p in group])
+    smooth_runs([(p.train_data, p.amsom_map, p.cfg, p.progress("smooth", p.amsom_map)) for p in group])
 
 
 def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
-    """Stage 3: the baseline and the metrics of both maps."""
+    """Stage 3: the baseline, from its initial map built again, and both maps' metrics."""
+    som_map, _ = create_initial_map(paired.train_data, paired.cfg, sizing=paired.sizing)
     train_batch_som(
-        paired.train_data, paired.som_map, paired.cfg, progress=paired.progress("baseline")
+        paired.train_data, som_map, paired.cfg, progress=paired.progress("baseline", som_map)
     )
 
     def fit(map_state, train_epochs, smooth_epochs):
@@ -211,7 +210,7 @@ def _finish_paired(paired: _Paired) -> tuple[TrainConfig, dict]:
     epochs = paired.epochs
     return paired.cfg, {
         "amsom": fit(paired.amsom_map, epochs["train"], epochs["smooth"]),
-        "som": fit(paired.som_map, epochs["baseline"], 0),
+        "som": fit(som_map, epochs["baseline"], 0),
     }
 
 
@@ -227,8 +226,8 @@ def _aggregate(records: list) -> dict:
     return summary
 
 
-def _write_summary(out: Path, summary: dict, runs_done: int, failed: str | None) -> None:
-    with _open_output(out / "summary.csv", newline="") as fh:
+def _write_summary(csv_path, txt_path, summary: dict, runs_done: int, failed: str | None) -> None:
+    with _open_output(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "metric", "mean", "std"])
         for algorithm in ("amsom", "som"):
@@ -247,23 +246,32 @@ def _write_summary(out: Path, summary: dict, runs_done: int, failed: str | None)
         lines.append(
             f"{metric:<22}{a['mean']:>14.6f}{a['std']:>12.6f}{s['mean']:>14.6f}{s['std']:>12.6f}"
         )
-    with _open_output(out / "summary.txt") as fh:
+    with _open_output(txt_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_runs_csv(out: Path, records: list) -> None:
+def _write_runs_csv(path, records: list) -> None:
     columns = ["algorithm", "run"] + SUMMARY_METRICS
-    with _open_output(out / "runs.csv", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for record in records:
             writer.writerow([record[c] if c in ("algorithm", "run") else repr(float(record[c])) for c in columns])
 
 
+def output_paths(spec: ExperimentSpec) -> list:
+    """Every file ``run_experiment`` writes for ``spec``, in writing order:
+    each run's two snapshots, then runs.csv, summary.csv and summary.txt."""
+    out = Path(spec.output_dir)
+    names = [f"run_{run:02d}_{a}.json" for run in range(spec.runs) for a in ("amsom", "som")]
+    return [out / name for name in names + ["runs.csv", "summary.csv", "summary.txt"]]
+
+
 # Budget of a group of runs that run_experiment stages together: a group
 # closes once its summed training rows * d, or its summed squared map sizes,
-# reach STAGE_BUDGET entries, so the staged maps and the lockstep smoothing
-# arrays stay bounded however many runs an experiment has.
+# reach STAGE_BUDGET entries, so the staged maps (one per run: the baseline's
+# map is built in stage 3) and the lockstep smoothing arrays stay bounded
+# however many runs an experiment has.
 STAGE_BUDGET = 1 << 20
 
 
@@ -272,18 +280,20 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
 
     Each run derives its own seeds from (config.seed, run index), re-shuffles
     the split, and trains the adaptive map and the baseline from the same
-    initial map on the same training split. Outputs under spec.output_dir:
-    run_XX_amsom.json / run_XX_som.json snapshots, runs.csv, summary.csv and
-    summary.txt. Two invocations with the same spec produce identical bytes.
+    initial map on the same training split. The files written are those of
+    ``output_paths(spec)``. Two invocations with the same spec produce
+    identical bytes.
 
     Runs are staged in groups of at most ``STAGE_BUDGET`` (see there): each
     group's runs are split, initialised and trained run by run, then
     smoothed together by one ``smooth_runs`` call, then given their baseline,
-    metrics and snapshots run by run, in run order. The outputs do not
-    depend on the grouping. ``epoch_hook(map_state, report, phase)`` thus
-    sees a group's train epochs run by run, then its smoothing epochs
-    interleaved epoch by epoch (runs in order within an epoch), then each
-    run's baseline epochs.
+    metrics and snapshots run by run, in run order. A staged run holds one
+    map, the adaptive one: ``create_initial_map`` is a pure function of its
+    inputs, so the baseline's initial map is built again when its baseline
+    starts. The outputs do not depend on the grouping.
+    ``epoch_hook(map_state, report, phase)`` thus sees a group's train
+    epochs run by run, then its smoothing epochs interleaved epoch by epoch
+    (runs in order within an epoch), then each run's baseline epochs.
 
     A failing run aborts the experiment: the runs before it (both snapshots
     written) are aggregated as usual, summary.txt names the failed run after
@@ -291,6 +301,7 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     """
     full = load_dataset(spec.dataset, spec.label_column, seed=spec.config.seed)
     out = Path(spec.output_dir)
+    *snapshots, runs_csv, summary_csv, summary_txt = output_paths(spec)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -329,10 +340,10 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
                 group, error = group[: getattr(exc, "run", 0)], exc
             for paired in group:
                 cfg, fits = _finish_paired(paired)
-                for algorithm, (map_state, labels, record) in fits.items():
+                for (map_state, labels, record), path in zip(fits.values(), snapshots[2 * done :]):
                     export_snapshot_json(
                         map_state,
-                        out / f"run_{done:02d}_{algorithm}.json",
+                        path,
                         labels=labels,
                         config=dataclasses.asdict(cfg),
                         metrics={k: v for k, v in record.items() if k != "dead_fraction_train"},
@@ -345,8 +356,9 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     done = len(records) // 2
     summary = _aggregate(records) if records else None
     if records:
-        _write_runs_csv(out, records)
-        _write_summary(out, summary, done, None if error is None else f"run {done}: {error}")
+        _write_runs_csv(runs_csv, records)
+        failed = None if error is None else f"run {done}: {error}"
+        _write_summary(summary_csv, summary_txt, summary, done, failed)
     if error is not None:
         raise error
     return summary

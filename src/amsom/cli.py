@@ -15,6 +15,7 @@ from .bench import (
     dataset_file,
     experiment_spec_from_file,
     load_dataset,
+    output_paths,
     parse_label_column,
     read_config_file,
     run_experiment,
@@ -101,11 +102,10 @@ def _cmd_bench(args) -> int:
     spec = experiment_spec_from_file(args.spec)
     if args.out is not None:
         spec = dataclasses.replace(spec, output_dir=args.out)
-    # the files run_experiment writes; a directory yet to be made holds no input
+    # a directory yet to be made holds no input
     if os.path.exists(spec.output_dir):
-        names = [f"run_{run:02d}_{a}.json" for run in range(spec.runs) for a in ("amsom", "som")]
-        for name in names + ["runs.csv", "summary.csv", "summary.txt"]:
-            check_output_path(os.path.join(spec.output_dir, name), dataset_file(spec.dataset), args.spec)
+        for path in output_paths(spec):
+            check_output_path(path, dataset_file(spec.dataset), args.spec)
     summary = run_experiment(spec)
     for algorithm in ("amsom", "som"):
         stats = summary[algorithm]

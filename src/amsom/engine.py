@@ -261,29 +261,15 @@ def _pull(state, t, bins, k, pull, rate) -> None:
     np.add(state, rate * mean, out=state, where=ok)
 
 
-def process_pattern_edges(map_state: MapState, winner: int, second: int) -> None:
-    """Apply one pattern presentation to the edge graph.
-
-    Counts the win, ages every edge of the winner by one, then connects
-    winner and runner-up with a fresh age of zero.
-    """
-    if winner == second:
-        raise MapStructureError("winner and runner-up must differ")
-    map_state.win_count[winner] += 1
-    nb = map_state.edges[winner]
-    map_state.ages[winner, nb] += 1
-    map_state.ages[nb, winner] += 1
-    map_state.edges[winner, second] = map_state.edges[second, winner] = True
-    map_state.ages[winner, second] = map_state.ages[second, winner] = 0
-
-
 def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
-    """Batched equivalent of process_pattern_edges over a whole epoch.
+    """One epoch's edge refresh, presenting the patterns of ``asg`` (an
+    assignment to this map) in order: each counts its winner's win, ages the
+    winner's edges by one and connects winner and runner-up at age zero.
 
-    Presents the patterns of ``asg`` (an assignment to this map) in order.
-    Exactly reproduces the sequential presentation-order result: an edge that
-    is never refreshed ages by the total wins of its endpoints; a refreshed
-    edge ends with the wins of its endpoints after its last refresh. The
+    Exactly reproduces presenting them one at a time (the oracle
+    ``process_pattern_edges`` in tests/conftest.py): an edge that is never
+    refreshed ages by the total wins of its endpoints; a refreshed edge
+    ends with the wins of its endpoints after its last refresh. The
     edges are found by one flat scan of the adjacency matrix; the rest works
     on their index pairs and on the patterns' pairs.
     """

@@ -7,6 +7,7 @@ import pytest
 
 from amsom.core import MapState
 from amsom.datasets import load_csv
+from amsom.errors import MapStructureError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 IRIS_CSV = DATA_DIR / "iris.csv"
@@ -32,6 +33,21 @@ def make_map(weights, positions=None, edges=(), win_count=None):
             a[i, j] = a[j, i] = spec[2]
     wc = np.zeros(m, dtype=np.int64) if win_count is None else np.asarray(win_count, dtype=np.int64)
     return MapState(w, r, e, a, wc)
+
+
+def process_pattern_edges(map_state, winner: int, second: int) -> None:
+    """Apply one pattern presentation to the edge graph: count the win, age
+    every edge of the winner by one, then connect winner and runner-up with
+    a fresh age of zero. The sequential oracle of the batched
+    ``engine._apply_epoch_edges``."""
+    if winner == second:
+        raise MapStructureError("winner and runner-up must differ")
+    map_state.win_count[winner] += 1
+    nb = map_state.edges[winner]
+    map_state.ages[winner, nb] += 1
+    map_state.ages[nb, winner] += 1
+    map_state.edges[winner, second] = map_state.edges[second, winner] = True
+    map_state.ages[winner, second] = map_state.ages[second, winner] = 0
 
 
 def neighborhood_output(r_j, r_i, sigma: float) -> float:

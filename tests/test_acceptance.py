@@ -21,14 +21,19 @@ from amsom.engine import (
     batch_weight_update,
     enforce_degree,
     maybe_add_neuron,
-    process_pattern_edges,
     prune_edges_and_neurons,
 )
 from amsom.baseline import train_batch_som
 from amsom.errors import MapStructureError
 from amsom.grid import growing_threshold
 
-from conftest import IRIS_CSV, make_map, neighborhood_input, neighborhood_output
+from conftest import (
+    IRIS_CSV,
+    make_map,
+    neighborhood_input,
+    neighborhood_output,
+    process_pattern_edges,
+)
 
 Q_RECT = 4
 

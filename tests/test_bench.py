@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import gc
 import os
 import stat
 import subprocess
 import sys
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,14 +25,14 @@ from amsom.bench import (
     typed_values,
 )
 from amsom.cli import main
-from amsom.core import Dataset
+from amsom.core import Dataset, MapState
 from amsom.datasets import split_dataset
 from amsom.engine import TrainConfig
 from amsom.errors import ConfigError, TrainingError
 from amsom.metrics import quality_report
 from amsom.snapshot import export_snapshot_json, load_snapshot
 
-from conftest import IRIS_CSV, make_map
+from conftest import IRIS_CSV, assert_same_map, make_map
 
 
 @pytest.fixture()
@@ -362,6 +364,13 @@ def test_run_experiment_bytes_do_not_depend_on_the_grouping(blob_csv, tmp_path, 
     assert sizes == [3, 1, 1, 1]
     together = _files(tmp_path / "together")
     assert len(together) == 9 and together == _files(tmp_path / "apart")
+    # output_paths lists, in writing order, every file a finished run leaves
+    paths = bench.output_paths(_three_run_spec(blob_csv, tmp_path / "together"))
+    assert [p.name for p in paths] == [
+        *(f"run_{run:02d}_{a}.json" for run in range(3) for a in ("amsom", "som")),
+        "runs.csv", "summary.csv", "summary.txt",
+    ]
+    assert sorted(paths) == sorted((tmp_path / "together").iterdir())
 
 
 def _failing_run_1(monkeypatch, where):
@@ -423,6 +432,48 @@ def test_epoch_hook_sees_the_stages_in_order(blob_csv, tmp_path):
     assert {m for m, _ in smoothed} == set(runs)
     baselines = [key for key, _ in groupby(m for phase, m, _ in seen if phase == "baseline")]
     assert len(baselines) == 2 and not set(baselines) & set(runs)
+
+
+def _live_maps():
+    gc.collect()
+    return sum(isinstance(obj, MapState) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_the_baseline_starts_from_the_adaptive_maps_initial_map(tmp_path, monkeypatch, normalize):
+    # stage 3 builds the baseline's initial map again, from the run's own
+    # sizing dataset (the scaled full dataset when normalizing), so a staged
+    # run holds one map until its baseline starts
+    starts = {"train": [], "baseline": []}
+    held = []
+
+    def spy(phase, trainer):
+        # a copy as plain arrays, which the count of live maps does not see
+        def started(data, map_state, config, progress=None):
+            arrays = ("weights", "positions", "edges", "ages", "win_count")
+            starts[phase].append(SimpleNamespace(**{a: getattr(map_state, a).copy() for a in arrays}))
+            return trainer(data, map_state, config, progress=progress)
+
+        return started
+
+    def counted(runs):
+        held.append(_live_maps() - before)
+        return lockstep(runs)
+
+    lockstep = bench.smooth_runs
+    monkeypatch.setattr(bench, "train", spy("train", bench.train))
+    monkeypatch.setattr(bench, "train_batch_som", spy("baseline", bench.train_batch_som))
+    monkeypatch.setattr(bench, "smooth_runs", counted)
+    spec = ExperimentSpec(
+        dataset=str(IRIS_CSV), runs=3, label_column="species", normalize=normalize,
+        output_dir=str(tmp_path / "out"), config=_quick_config(),
+    )
+    before = _live_maps()
+    run_experiment(spec)
+    assert held == [3]  # one map per run of the group
+    assert len(starts["train"]) == len(starts["baseline"]) == 3
+    for amsom_start, som_start in zip(starts["train"], starts["baseline"]):
+        assert_same_map(amsom_start, som_start)
 
 
 def test_one_run_experiment_records_one_row_per_map(blob_csv, tmp_path):
@@ -515,7 +566,9 @@ def test_summary_txt_is_utf8_under_an_ascii_locale(tmp_path):
         "import sys; from pathlib import Path; from amsom import bench\n"
         "stat = {'mean': 0.0, 'std': 0.0}\n"
         "summary = {a: {m: stat for m in bench.SUMMARY_METRICS} for a in ('amsom', 'som')}\n"
-        "bench._write_summary(Path(sys.argv[1]), summary, 1, \"label column 'esp\\u00e8ce'\")\n"
+        "out = Path(sys.argv[1])\n"
+        "bench._write_summary(out / 'summary.csv', out / 'summary.txt', summary, 1,\n"
+        "                     \"label column 'esp\\u00e8ce'\")\n"
     )
     env = dict(
         os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),

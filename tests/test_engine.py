@@ -30,7 +30,6 @@ from amsom.engine import (
     enforce_degree,
     maybe_add_neuron,
     position_update,
-    process_pattern_edges,
     prune_edges_and_neurons,
     smooth,
     smooth_runs,
@@ -46,7 +45,13 @@ from amsom.grid import (
     init_weights,
 )
 
-from conftest import assert_same_map, make_map, neighborhood_input, neighborhood_output
+from conftest import (
+    assert_same_map,
+    make_map,
+    neighborhood_input,
+    neighborhood_output,
+    process_pattern_edges,
+)
 
 
 # ---------------------------------------------------------------- kernels

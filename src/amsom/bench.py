@@ -16,7 +16,7 @@ from .baseline import train_batch_som
 from .core import Dataset, MapState
 from .datasets import check_split_fractions, generate_cluster_dataset, load_csv, split_dataset
 from .engine import TrainConfig, smooth_runs, train
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .grid import _check_fields, _read_field, create_initial_map
 from .metrics import quality_report
 from .snapshot import _open_output, export_snapshot_json

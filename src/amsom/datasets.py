@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 from array import array
 from pathlib import Path
@@ -15,8 +14,6 @@ import numpy as np
 
 from .core import Dataset
 from .errors import ConfigError, DataError
-
-log = logging.getLogger(__name__)
 
 MISSING_TOKENS = {"", "na", "nan", "?"}
 # Characters per read of the decode pass, which keeps no text it has checked.
@@ -185,7 +182,8 @@ def _parse_csv(path, reader, label_column) -> Dataset:
             raw_labels.append(label)
 
     if skipped:
-        log.warning("%s: skipped %d rows with missing values", path, skipped)
+        import logging  # only here: a load that skips no row never imports it
+        logging.getLogger(__name__).warning("%s: skipped %d rows with missing values", path, skipped)
     if not kept:
         raise DataError(f"{path}: all rows were skipped")
 

@@ -723,7 +723,9 @@ def smooth_runs(runs):
     as its ``run`` attribute. The runs share one input dimension, their
     maps' (DataError, before any map changes). The winner search is one
     ``PrunedSearch`` over the live runs (one search call per epoch), rebuilt
-    when a run leaves. Each map's weights and positions are batch views.
+    when a run leaves. A live map's weights and positions are views into the
+    batch's arrays; each map takes its own copies when its run leaves, or when
+    smoothing ends or raises, so none holds on to the batch's arrays.
     """
     lockstep = _Lockstep(runs)
     if lockstep.runs:
@@ -737,9 +739,9 @@ class _Lockstep:
     rate are stored per pair and per neuron; the winner search is one
     ``PrunedSearch`` over all the runs, whose run starts lay out the rest.
     Each live map's weights and positions are views into the shared arrays,
-    which the epoch updates in place. When a run leaves, the others are
-    joined again into new arrays, and the one that left keeps views that
-    nothing writes to any more."""
+    which the epoch updates in place. A run that leaves copies its own out
+    of them, the others being joined again into new arrays; the runs still
+    live copy theirs when ``run`` returns or raises."""
 
     def __init__(self, runs):
         self.runs = [tuple(run) for run in runs]
@@ -766,10 +768,19 @@ class _Lockstep:
             # -x / c, as x / -c: negation is exact and rounding symmetric in sign
             self.fixed.append((t, s, -(sigma * sigma), -(config.gamma * sigma * sigma)))
         self.live = list(range(len(self.runs)))
-        self._join()
         loops = [(cfg.smooth_max_epochs, cfg.eps2, progress) for _, _, cfg, progress in self.runs]
-        self.reports = _run_epochs(loops, self.step)
+        try:
+            self._join()
+            self.reports = _run_epochs(loops, self.step)
+        finally:
+            self._own(self.live)
         return self.reports
+
+    def _own(self, runs) -> None:
+        """Give the maps of the runs indexed by ``runs`` their own arrays."""
+        for _, map_state, _, _ in (self.runs[i] for i in runs):
+            map_state.weights = map_state.weights.copy()
+            map_state.positions = map_state.positions.copy()
 
     def _join(self) -> None:
         """Concatenate the live runs, and assign them by the first call of
@@ -810,6 +821,7 @@ class _Lockstep:
 
     def step(self, epoch: int, live: list) -> list:
         if live != self.live:
+            self._own(set(self.live) - set(live))
             self.live = list(live)
             self._join()
         asg = self.asg

@@ -143,38 +143,28 @@ def build_lattice(spec: LatticeSpec) -> MapState:
 
     Rectangular grids place neurons at integer coordinates with 4-neighbor
     edges. Hexagonal grids offset odd rows by +0.5 horizontally with vertical
-    spacing sqrt(3)/2 and 6-neighbor edges. Weights are left empty (shape
-    (m, 0)) until init_weights runs.
+    spacing sqrt(3)/2 and 6-neighbor edges. Neuron i sits at row i // cols,
+    column i % cols; each neighbor relation is one index rule over them all.
+    Weights are left empty (shape (m, 0)) until init_weights runs.
     """
     rows, cols = spec.rows, spec.cols
     m = rows * cols
-    positions = np.zeros((m, 2))
+    i = np.arange(m)
+    r, c = np.divmod(i, cols)
+    below = r + 1 < rows
+    # (neighbor index, where that neighbor exists): right, then below
+    rules = [(i + 1, c + 1 < cols), (i + cols, below)]
+    if spec.topology == HEXAGONAL:
+        positions = np.column_stack((c + 0.5 * (r % 2), r * math.sqrt(3.0) / 2.0))
+        # odd-row offset layout: the other lower neighbor leans left from an
+        # even row and right from an odd one
+        lean = 2 * (r % 2) - 1
+        rules.append((i + cols + lean, below & (0 <= c + lean) & (c + lean < cols)))
+    else:
+        positions = np.column_stack((c, r)).astype(np.float64)
     edges = np.zeros((m, m), dtype=bool)
-
-    def idx(r, c):
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            i = idx(r, c)
-            if spec.topology == RECTANGULAR:
-                positions[i] = (c, r)
-            else:
-                positions[i] = (c + 0.5 * (r % 2), r * math.sqrt(3.0) / 2.0)
-
-    def connect(i, r, c):
-        if 0 <= r < rows and 0 <= c < cols:
-            j = idx(r, c)
-            edges[i, j] = edges[j, i] = True
-
-    for r in range(rows):
-        for c in range(cols):
-            i = idx(r, c)
-            connect(i, r, c + 1)
-            connect(i, r + 1, c)
-            if spec.topology == HEXAGONAL:
-                # odd-row offset layout: the two remaining lower neighbors
-                connect(i, r + 1, c - 1 if r % 2 == 0 else c + 1)
+    for j, exists in rules:
+        edges[i[exists], j[exists]] = edges[j[exists], i[exists]] = True
 
     return MapState(
         weights=np.zeros((m, 0)),

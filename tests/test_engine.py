@@ -653,6 +653,17 @@ def test_smooth_runs_matches_separate_smooth_calls(count):
     assert np.array_equal(maps[-1].positions[-1], runs[-1][1].positions[-1])
 
 
+def test_smooth_runs_leaves_each_map_its_own_arrays():
+    # runs that stop at different epochs: none holds on to a batch array,
+    # neither one that left early nor one that was live at the end
+    runs = [_random_smoothing_run(30 + i, 25, 7, smooth_max_epochs=cap)
+            for i, cap in enumerate((3, 8, 15))]
+    maps, alone = _smooth_separately_and_in_lockstep(runs)
+    assert [len(reports) for _, reports in alone] == [3, 8, 15]
+    for ms in maps:
+        assert ms.weights.base is None and ms.positions.base is None
+
+
 def test_smooth_runs_matches_separate_smooth_calls_on_trained_maps(iris):
     # five trained iris maps, as a protocol smooths them, with three caps
     runs = []
@@ -703,6 +714,8 @@ def test_smooth_runs_failure_stops_that_run_and_the_later_ones():
     # the run before it finished as it does alone; none after it reported
     assert maps[0].weights.tobytes() == want.weights.tobytes()
     assert seen == [0] * len(want_reports)
+    # every map has its own arrays again, the failing run's and later ones too
+    assert all(ms.weights.base is None and ms.positions.base is None for ms in maps)
 
     # a hook that raises stops its run the same way
     def failing(report):

@@ -82,7 +82,7 @@ def test_lattice_spec_validation():
         LatticeSpec(1, 1)
     with pytest.raises(ConfigError):
         LatticeSpec(3, 3, topology="triangular")
-    # a row count is an integer: 2.5 would crash range() in build_lattice, True builds one row
+    # a row count is an integer: 2.5 rows have no lattice, True builds one row
     for rows in (2.5, True):
         with pytest.raises(ConfigError, match="rows must be an integer"):
             LatticeSpec(rows, 3)
@@ -123,6 +123,25 @@ def test_hexagonal_lattice_geometry():
     assert np.max(np.abs(lengths - 1.0)) < 1e-12
     assert ms.degrees().max() == MAX_DEGREE[HEXAGONAL]
     ms.validate(q_max=MAX_DEGREE[HEXAGONAL], allow_isolated=False)
+
+
+@pytest.mark.parametrize("topology", [RECTANGULAR, HEXAGONAL])
+def test_lattice_equals_the_per_cell_formula_with_unit_distance_edges(topology):
+    # positions worked out cell by cell in Python floats; neighbors are the
+    # pairs one cell apart, and every other pair is at least sqrt(2) apart
+    for rows in range(1, 31):
+        for cols in range(2 if rows == 1 else 1, 31):
+            ms = build_lattice(LatticeSpec(rows, cols, topology))
+            if topology == HEXAGONAL:
+                want = [(c + 0.5 * (r % 2), r * math.sqrt(3.0) / 2.0)
+                        for r in range(rows) for c in range(cols)]
+            else:
+                want = [(float(c), float(r)) for r in range(rows) for c in range(cols)]
+            want = np.array(want)
+            assert ms.positions.dtype == np.float64 and ms.positions.shape == want.shape
+            assert ms.positions.tobytes() == want.tobytes(), (rows, cols)
+            dx, dy = (want[:, None, k] - want[None, :, k] for k in (0, 1))
+            assert np.array_equal(ms.edges, np.abs(dx * dx + dy * dy - 1.0) <= 1e-9), (rows, cols)
 
 
 def test_init_weights_ranges_and_determinism():

@@ -91,7 +91,7 @@ def read_config_file(path) -> dict:
     strings. A file that cannot be read or decoded raises ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError, or a NUL byte in the path
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -304,7 +304,7 @@ def run_experiment(spec: ExperimentSpec, epoch_hook=None) -> dict:
     *snapshots, runs_csv, summary_csv, summary_txt = output_paths(spec)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise ConfigError(f"cannot create output_dir {out}: {exc}") from exc
     fractions = (spec.train_frac, spec.test_frac, spec.val_frac)
 

@@ -86,6 +86,9 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             while fh.read(DECODE_CHUNK):
                 pass
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError, or a NUL byte in the path
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:

@@ -102,13 +102,8 @@ def _open_output(path, newline=None):
     path is an option of the run, so one that ``check_output_path`` refuses
     or that cannot be opened raises ConfigError.
     """
-    check_output_path(path)
-    target = os.path.realpath(path)
+    target, st = check_output_path(path)
     folder, name = os.path.split(target)
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        st = None
     if st is not None and not (
         stat.S_ISREG(st.st_mode)
         and st.st_nlink == 1
@@ -138,26 +133,31 @@ def _open_output(path, newline=None):
         raise
 
 
-def check_output_path(path, *inputs) -> None:
+def check_output_path(path, *inputs) -> tuple:
     """Raise ConfigError, creating nothing, when a command may not write
-    ``path``: it is empty or a directory, it is a file that is read-only
-    (one that ``_open_output`` could otherwise replace), it names no file
-    and the directory of the path it leads to (through any symlink), where
-    ``_open_output`` creates it, is missing or read-only, or it is the same
-    file as one of the command's ``inputs`` (None for one that is no file)."""
-    folder = os.path.dirname(os.path.realpath(path)) if path else ""
-    exists = bool(path) and os.path.exists(path)
-    if (
-        not path
-        or os.path.isdir(path)
+    ``path``: it is empty, a directory, a name the file system rejects, a
+    read-only file, one of the command's ``inputs`` (None for no file), or
+    new in a missing or read-only directory (that of the path it leads to,
+    through any symlink). Else return what ``_open_output`` writes from:
+    that path and the path's one stat, None for a new file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:  # a new file, or ""
+        st = None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
+    if not path or (
+        not (os.path.isdir(folder) and os.access(folder, os.W_OK)) if st is None
         # os.access grants root every file, whatever its mode
-        or (exists and not (os.access(path, os.W_OK) and os.stat(path).st_mode & 0o222))
-        or (not exists and not (os.path.isdir(folder) and os.access(folder, os.W_OK)))
+        else stat.S_ISDIR(st.st_mode) or not (os.access(path, os.W_OK) and st.st_mode & 0o222)
     ):
         raise ConfigError(f"cannot write {path}: not a writable file in an existing directory")
     for source in inputs:
-        if source and exists and os.path.exists(source) and os.path.samefile(path, source):
+        if st and source and os.path.exists(source) and os.path.samestat(st, os.stat(source)):
             raise ConfigError(f"output {path} is the command's own input {source}")
+    return target, st
 
 
 def _field(payload: dict, key: str, shape: tuple, dtype) -> np.ndarray:
@@ -240,10 +240,10 @@ def load_snapshot(path) -> tuple[MapState, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"snapshot {path} is not JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # not UTF-8, a NUL byte in the path, or an int() limit
+        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
     return snapshot_to_map(payload), payload
 
 

@@ -869,11 +869,16 @@ def test_cli_output_that_is_its_own_input_is_a_config_error(blob_csv, tmp_path, 
 
 
 # Every path a command reads or writes, through cli.main: a path that names
-# no file, a directory, a missing file or directory, or the command's own
-# input. Each is refused before any work, with exit 1 (an output or a
-# config file) or 2 (an input data file), writing nothing and changing no
-# input. Inputs live in the working directory: runs.csv is train's CSV and
-# bench's dataset, so bench's "--out ." holds its own dataset.
+# no file, a directory, a missing file or directory, the command's own
+# input, or a name the file system rejects (too long, a symlink loop, a
+# file where a directory should be, a NUL byte). Each is refused before any
+# work, with exit 1 (an output or a config file) or 2 (an input data
+# file), writing nothing, changing no input and training no map. Inputs
+# live in the working directory: runs.csv is train's CSV and bench's
+# dataset, so bench's "--out ." holds its own dataset. Render refuses its
+# default output, the snapshot's name with an .svg suffix, before it reads
+# the snapshot.
+LONG = "a" * 300  # NAME_MAX is 255 on Linux
 QUICK = ["--set", "max_epochs=3", "--set", "smooth_max_epochs=2"]
 PATH_CASES = {
     "train-csv-empty": (["train", "", "--out", "map.json"] + QUICK, 2),
@@ -908,11 +913,24 @@ PATH_CASES = {
     "bench-out-own-spec": (["bench", "spec.cfg", "--out", "spec.cfg"], 1),
     "bench-out-holds-own-dataset": (["bench", "spec.cfg", "--out", "."], 1),
     "train-out-read-only": (["train", "runs.csv", "--out", "locked.json"] + QUICK, 1),
+    "train-out-name-too-long": (["train", "runs.csv", "--out", LONG + ".json"] + QUICK, 1),
+    "train-out-symlink-loop": (["train", "runs.csv", "--out", "loop.json"] + QUICK, 1),
+    "train-out-past-a-file": (["train", "runs.csv", "--out", "map.json/"] + QUICK, 1),
+    "train-out-nul": (["train", "runs.csv", "--out", "a\0b.json"] + QUICK, 1),
+    "render-out-name-too-long": (["render", "map.json", "--out", LONG + ".svg"], 1),
+    "render-snapshot-name-too-long": (["render", LONG + ".json"], 1),
+    "train-csv-nul": (["train", "a\0b.csv", "--out", "new.json"] + QUICK, 2),
+    "train-config-nul": (["train", "runs.csv", "--config", "a\0b.cfg", "--out", "new.json"], 1),
+    "render-snapshot-nul": (["render", "a\0b.json", "--out", "new.svg"], 2),
+    "bench-spec-nul": (["bench", "a\0b.cfg"], 1),
 }
 
 
 @pytest.mark.parametrize("argv, code", PATH_CASES.values(), ids=PATH_CASES.keys())
 def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("amsom.cli.train", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("amsom.bench.train", lambda *args, **kwargs: calls.append(args))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "runs.csv").write_bytes(blob_csv.read_bytes())
     blob_csv.unlink()
@@ -923,9 +941,11 @@ def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, 
     (tmp_path / "sub").mkdir()
     (tmp_path / "locked.json").write_text("kept\n")
     os.chmod(tmp_path / "locked.json", 0o444)  # refused even for root, which may write it
+    os.symlink("loop.json", tmp_path / "loop.json")
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     assert main(argv) == code, capsys.readouterr().err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+    assert calls == []
     capsys.readouterr()
 
 

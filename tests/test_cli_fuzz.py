@@ -180,8 +180,10 @@ def test_bench_exits_0_1_or_2_on_any_spec_file(capsys):
         spec, tiny = tmp / "spec.cfg", tmp / "tiny.csv"
         tiny.write_text("a,b,label\n0,1,x\n1,0,y\n1,1,x\n")
         (tmp / "blocked").write_text("")
-        datasets = [str(IRIS_CSV), "cluster"] * 3 + [str(tiny), str(tmp / "missing.csv"), str(tmp), ""]
-        outputs = [str(tmp / "out")] * 4 + [str(tmp / "blocked" / "out")]
+        datasets = [str(IRIS_CSV), "cluster"] * 3 + [
+            str(tiny), str(tmp / "missing.csv"), str(tmp), "", str(tmp / "a\0b.csv")
+        ]
+        outputs = [str(tmp / "out")] * 4 + [str(tmp / "blocked" / "out"), str(tmp / "out\0dir")]
 
         @hypothesis.settings(FUZZ, max_examples=100)
         @hypothesis.given(

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -130,6 +131,29 @@ def test_a_snapshot_that_fails_partway_leaves_the_previous_file_whole(tmp_path, 
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_a_snapshot_write_stats_its_path_once(tmp_path, monkeypatch):
+    # check_output_path's one look decides both whether the path may be
+    # written and how _open_output writes it, for a new file and for one
+    # that the write replaces
+    path = str(tmp_path / "map.json")
+    looks = []
+    real_stat = os.stat
+
+    def counting_stat(target, *args, **kwargs):
+        looks.append(os.fspath(target) == path)
+        return real_stat(target, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    counts = []
+    for _ in ("new", "replaced"):
+        looks.clear()
+        export_snapshot_json(make_map([[1.0], [2.0]]), path)
+        counts.append(sum(looks))
+    monkeypatch.undo()
+    assert counts == [1, 1]
+    assert load_snapshot(path)[0].m == 2
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "amsom"
 
 
@@ -218,6 +242,8 @@ MALFORMED = {
     "ragged weights": lambda p: p["weights"][1].append(0.0),
     "edge listed reversed too": lambda p: p["edges"].append([1, 0, 2]),
     "edge listed twice": lambda p: p["edges"].append([1, 2, 4]),
+    "infinite position": lambda p: p["positions"][2].__setitem__(1, float("inf")),
+    "NaN position": lambda p: p["positions"][0].__setitem__(0, float("nan")),
 }
 
 
@@ -248,6 +274,16 @@ def test_snapshot_edge_listed_twice_is_named_and_one_reversed_entry_is_kept():
 def test_render_rejects_a_snapshot_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text("[1, 2]\n")
+    assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "map.svg").exists()
+
+
+def test_render_rejects_an_integer_too_long_to_read_as_a_data_error(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer of more digits than
+    # int() converts (4300 by default), which is no JSONDecodeError
+    path = tmp_path / "map.json"
+    path.write_text('{"format_version": 1, "neuron_count": ' + "9" * 5000 + "}\n")
     assert main(["render", str(path), "--out", str(tmp_path / "map.svg")]) == 2
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "map.svg").exists()

@@ -102,8 +102,13 @@ def _cmd_bench(args) -> int:
     spec = experiment_spec_from_file(args.spec)
     if args.out is not None:
         spec = dataclasses.replace(spec, output_dir=args.out)
-    # a directory yet to be made holds no input
-    if os.path.exists(spec.output_dir):
+    try:
+        os.stat(spec.output_dir)
+    except FileNotFoundError:
+        pass  # a directory yet to be made holds no input
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise ConfigError(f"cannot use output_dir {spec.output_dir}: {exc}") from exc
+    else:
         for path in output_paths(spec):
             check_output_path(path, dataset_file(spec.dataset), args.spec)
     summary = run_experiment(spec)

@@ -16,7 +16,8 @@ from .core import Dataset
 from .errors import ConfigError, DataError
 
 MISSING_TOKENS = {"", "na", "nan", "?"}
-# Characters per read of the decode pass, which keeps no text it has checked.
+# Characters per read of the drain that decodes the rest of a file after a
+# record fault, which keeps no text it has checked.
 DECODE_CHUNK = 1 << 16
 
 
@@ -72,29 +73,33 @@ def load_csv(path, label_column: int | str | None = None) -> Dataset:
     fractions, inf, or integers beyond int64) every distinct label string is
     mapped to an integer id by sorted value.
 
-    A file that cannot be read or decoded raises DataError, before any fault
-    in its records. So does a record the csv module rejects (a cell over its
-    field size limit, or a NUL byte where the module refuses one), naming the
-    line the reader stopped on. A label column that does not exist (index
-    out of range, unknown name, or a name without a header row) raises
-    ConfigError: another column argument fixes it.
+    The file is opened once and read as a stream, so a pipe or a FIFO loads
+    like a regular file. A file that cannot be read or decoded anywhere
+    raises DataError before any fault in its records, which is held while
+    the rest of the file decodes. A record the csv module rejects (a cell
+    over its field size limit, or a NUL byte where the module refuses one)
+    raises DataError naming the line the reader stopped on. A label column
+    that does not exist (index out of range, unknown name, or a name without
+    a header row) raises ConfigError: another column argument fixes it.
     """
     path = Path(path)
     try:
-        # Decoding the whole file before parsing any record keeps an
-        # undecodable file's error ahead of every fault the parse can find.
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            while fh.read(DECODE_CHUNK):
-                pass
-    except (OSError, ValueError) as exc:  # a UnicodeDecodeError, or a NUL byte in the path
+        fh = open(path, encoding="utf-8-sig", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with fh:
             reader = csv.reader(fh)
             try:
                 return _parse_csv(path, reader, label_column)
-            except csv.Error as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            except (csv.Error, DataError, ConfigError) as exc:
+                # A record fault waits until the rest of the file decodes, so
+                # an undecodable file's error comes first.
+                while fh.read(DECODE_CHUNK):
+                    pass
+                if isinstance(exc, csv.Error):
+                    raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

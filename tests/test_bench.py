@@ -923,6 +923,10 @@ PATH_CASES = {
     "train-config-nul": (["train", "runs.csv", "--config", "a\0b.cfg", "--out", "new.json"], 1),
     "render-snapshot-nul": (["render", "a\0b.json", "--out", "new.svg"], 2),
     "bench-spec-nul": (["bench", "a\0b.cfg"], 1),
+    "bench-out-nul": (["bench", "spec.cfg", "--out", "out\0dir"], 1),
+    "bench-out-name-too-long": (["bench", "spec.cfg", "--out", LONG], 1),
+    "bench-out-symlink-loop": (["bench", "spec.cfg", "--out", "loop.json"], 1),
+    "bench-out-past-a-file": (["bench", "spec.cfg", "--out", "runs.csv/out"], 1),
 }
 
 
@@ -931,6 +935,7 @@ def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, 
     calls = []
     monkeypatch.setattr("amsom.cli.train", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setattr("amsom.bench.train", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("amsom.bench.load_dataset", lambda *args, **kwargs: calls.append(args))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "runs.csv").write_bytes(blob_csv.read_bytes())
     blob_csv.unlink()
@@ -946,6 +951,49 @@ def test_cli_refuses_a_bad_path_before_any_work(argv, code, blob_csv, tmp_path, 
     assert main(argv) == code, capsys.readouterr().err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
     assert calls == []
+    capsys.readouterr()
+
+
+# Every input the command line reads can come through a pipe: each is read
+# once, as a stream, so "/dev/stdin" (or a shell's <(...)) gives the run
+# that the same input gives as a file, byte for byte.
+PIPED_INPUTS = {
+    "train-csv": (["train", "IN", "--label-column", "species", *QUICK, "--out", "OUT"], "iris.csv"),
+    "train-config": (["train", str(IRIS_CSV), "--label-column", "species", "--config", "IN",
+                      "--out", "OUT"], "train.cfg"),
+    "bench-spec": (["bench", "IN", "--out", "OUT"], "spec.cfg"),
+    "render-snapshot": (["render", "IN", "--out", "OUT"], "map.json"),
+}
+
+
+@pytest.mark.parametrize("argv, name", PIPED_INPUTS.values(), ids=PIPED_INPUTS.keys())
+def test_cli_reads_each_input_through_a_pipe(argv, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("iris.csv").write_bytes(IRIS_CSV.read_bytes())
+    Path("train.cfg").write_text("max_epochs = 3\nsmooth_max_epochs = 2\n")
+    Path("spec.cfg").write_text(
+        f"dataset = {IRIS_CSV}\nlabel_column = species\nruns = 1\n"
+        "max_epochs = 3\nsmooth_max_epochs = 2\n"
+    )
+    export_snapshot_json(make_map([[0.0, 0.0], [1.0, 1.0]], edges=[(0, 1)]), "map.json")
+
+    def argv_for(source, out):
+        return [{"IN": source, "OUT": out}.get(arg, arg) for arg in argv]
+
+    assert main(argv_for(name, "from_file")) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amsom.cli", *argv_for("/dev/stdin", "from_pipe")],
+        input=Path(name).read_bytes(), env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+    def contents(path):
+        if path.is_dir():
+            return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+        return path.read_bytes()
+
+    assert contents(Path("from_pipe")) == contents(Path("from_file"))
     capsys.readouterr()
 
 

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +118,68 @@ def test_load_csv_unreadable_file_is_a_data_error(tmp_path):
     for path in [tmp_path / "missing.csv", tmp_path, latin1]:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(path)
+
+
+# the parse stops at each file's fault, far ahead of its last line, which
+# is no UTF-8: the decode error still comes first
+@pytest.mark.parametrize(
+    "fault, text",
+    [
+        ("line 3: unparseable value 'oops'", b"a,b\n1,2\n3,oops\n"),
+        ("field larger than field limit", b"a,b\n1,2\n3," + b"4" * 200_000 + b"\n"),
+        ("line 1: header has 3 cells", b"a,b,c\n1,2\n3,4\n"),
+    ],
+    ids=["unparseable-cell", "cell-over-the-field-limit", "header-of-another-width"],
+)
+def test_load_csv_holds_a_record_fault_until_the_file_decodes(fault, text, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text + b"5,6\n" * 10000)
+    with pytest.raises(DataError, match=fault):
+        load_csv(path)
+    path.write_bytes(text + b"5,6\n" * 10000 + b"\xff,7\n")
+    with pytest.raises(DataError, match="cannot read"):
+        load_csv(path)
+
+
+def test_load_csv_opens_its_path_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr("amsom.datasets.open", counting_open, raising=False)
+    load_csv(IRIS_CSV, label_column="species")
+    assert opened == [IRIS_CSV]
+    faulty = _write(tmp_path, "a,b\n1,2\n3,oops\n")
+    with pytest.raises(DataError, match="line 3"):
+        load_csv(faulty)
+    assert opened == [IRIS_CSV, faulty]
+
+
+def test_load_csv_reads_a_fifo_like_a_file(tmp_path):
+    # the loader runs in a child process, so a loader that waits on the
+    # FIFO for a second writer fails the test at the timeout
+    fifo, out = tmp_path / "iris.csv", tmp_path / "loaded.npz"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(IRIS_CSV.read_bytes(),), daemon=True)
+    writer.start()
+    script = (
+        "import sys, numpy as np; from amsom.datasets import load_csv; "
+        "data = load_csv(sys.argv[1], 'species'); "
+        "np.savez(sys.argv[2], patterns=data.patterns, labels=data.labels)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(fifo), str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    expected, loaded = load_csv(IRIS_CSV, "species"), np.load(out)
+    assert np.array_equal(loaded["patterns"], expected.patterns)
+    assert np.array_equal(loaded["labels"], expected.labels)
 
 
 def test_load_csv_peak_memory_is_a_small_multiple_of_the_patterns(tmp_path):

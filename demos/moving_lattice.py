@@ -55,8 +55,8 @@ if frozen is not None:
 # --- What happened to the structure? ---
 kinds = {}
 for r in reports:
-    for e in r.events:
-        kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
+    for kind, count in r.events.counts().items():
+        kinds[kind] = kinds.get(kind, 0) + count
 print(f"\nstructural events over {len(reports)} epochs: {kinds or 'none'}")
 print(f"final size: {map_state.m} neurons")
 

@@ -45,7 +45,7 @@ render_svg(map_state, OUT / "iris_initial.svg")
 # Neurons chase their input statistics, edges between frequent winner pairs
 # stay fresh while stale ones age out, and units that stop winning are cut.
 map_state, reports = train(data, map_state, config)
-removed = sum(1 for r in reports for e in r.events if e["kind"] == "neuron_removed")
+removed = sum(r.events.counts()["neuron_removed"] for r in reports)
 print(f"adaptive phase: {len(reports)} epochs, "
       f"{map_state.m} neurons left ({removed} removed), "
       f"final mqe={reports[-1].mqe:.4f}")

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bench import (
@@ -75,8 +76,10 @@ def _cmd_train(args) -> int:
     data = load_dataset(args.dataset, args.label_column, seed=config.seed)
     map_state, cfg = create_initial_map(data, config)
     initial_m = map_state.m
-    _, train_reports = train(data, map_state, cfg)
-    _, smooth_reports = smooth(data, map_state, cfg)
+    train_epochs, events = 0, Counter()
+    for report in train(data, map_state, cfg)[1]:
+        train_epochs, events = train_epochs + 1, events + report.events.counts()
+    smooth_epochs = len(smooth(data, map_state, cfg)[1])
     quality = quality_report(data, map_state)
     export_snapshot_json(
         map_state,
@@ -87,12 +90,14 @@ def _cmd_train(args) -> int:
             "qe": quality.qe,
             "te": quality.te,
             "neurons": map_state.m,
-            "train_epochs": len(train_reports),
-            "smooth_epochs": len(smooth_reports),
+            "train_epochs": train_epochs,
+            "smooth_epochs": smooth_epochs,
         },
     )
     print(f"neurons: {initial_m} -> {map_state.m}")
-    print(f"epochs: {len(train_reports)} train + {len(smooth_reports)} smooth")
+    print(f"epochs: {train_epochs} train + {smooth_epochs} smooth")
+    kinds = ("edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split")
+    print("events: " + ", ".join(f"{events[kind]} {kind}" for kind in kinds))
     print(f"qe: {quality.qe:.6f}  te: {quality.te:.6f}  dead: {quality.dead_unit_count}")
     print(f"snapshot: {args.out}")
     return 0

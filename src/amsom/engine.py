@@ -12,6 +12,7 @@ immediate graph neighborhood only.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,14 +119,59 @@ def _normal_widths(sigma: float, gamma: float) -> bool:
 class EpochReport:
     """What one epoch did: error level and structural events.
 
-    Events are dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
-    "neuron_removed", "neuron_split", "removal_skipped"); indices refer to the
-    map as it stood when the event happened.
+    Train's ``events`` is an ``Events`` value (smoothing's and the baseline's
+    is []): dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
+    "neuron_removed", "neuron_split", "removal_skipped"), tallied by
+    ``counts()``; indices refer to the map as it stood when the event happened.
     """
 
     epoch: int
     mqe: float
-    events: list = field(default_factory=list)
+    events: Events | list = field(default_factory=list)
+
+
+class Events:
+    """Structural events as parts, each a kind and then the index arrays that
+    made them (aged-out edges' rows, columns and ages; trims' neurons and peers
+    in cut order; removed neurons) or a list of its dicts (a split, a skipped
+    removal). It iterates as dicts of plain ints, in the order they happened."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, *parts):
+        self._parts = tuple(part for part in parts if len(part[1]))
+
+    def __iter__(self):
+        for kind, *columns in self._parts:
+            if kind == "edge_aged_out":
+                for i, j, age in zip(*(column.tolist() for column in columns)):
+                    yield {"kind": kind, "edge": (i, j), "age": age}
+            elif kind == "edge_trimmed":
+                for i, j in zip(*(column.tolist() for column in columns)):
+                    yield {"kind": kind, "edge": (i, j) if i < j else (j, i), "neuron": i}
+            elif kind == "neuron_removed":
+                yield from ({"kind": kind, "neuron": i} for i in columns[0].tolist())
+            else:
+                yield from columns[0]
+
+    def counts(self) -> Counter:
+        """The number of events of each kind, in order of first occurrence."""
+        tally = Counter()
+        for kind, items, *_ in self._parts:
+            tally[kind] += len(items)
+        return tally
+
+    def __len__(self):
+        return sum(len(items) for _, items, *_ in self._parts)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __add__(self, other):
+        return Events(*self._parts, *other._parts)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Events, list)) else NotImplemented
 
 
 # Block budget of _pairwise_sq for d != 2: at most KERNEL_CHUNK float64
@@ -304,20 +350,17 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
     map_state.win_count += wins
 
 
-def _remove_isolated(map_state: MapState, degrees: np.ndarray) -> list:
+def _remove_isolated(map_state: MapState, degrees: np.ndarray) -> Events:
     """Drop neurons with no edges, in ascending index order, keeping m >= 2;
     ``degrees`` are the map's degrees, as the caller counted them."""
     isolated = (degrees == 0).nonzero()[0]
     if isolated.size == 0:
-        return []
+        return Events()
     allowed = max(0, map_state.m - 2)
-    removable = isolated[:allowed]
-    skipped = isolated[allowed:]
-    events = [{"kind": "neuron_removed", "neuron": i} for i in removable.tolist()]
-    if skipped.size > 0:
-        events.append({"kind": "removal_skipped", "neurons": skipped.tolist()})
+    removable, skipped = isolated[:allowed], isolated[allowed:].tolist()
     map_state.delete_neurons(removable)
-    return events
+    skip = [{"kind": "removal_skipped", "neurons": skipped}] if skipped else []
+    return Events(("neuron_removed", removable), ("removal_skipped", skip))
 
 
 def _edge_entries(map_state: MapState):
@@ -335,19 +378,16 @@ def _cut(map_state: MapState, rows: np.ndarray, cols: np.ndarray) -> None:
     map_state.ages.put(flat, 0)
 
 
-def prune_edges_and_neurons(map_state: MapState, age_max: int) -> list:
+def prune_edges_and_neurons(map_state: MapState, age_max: int) -> Events:
     """Cut edges at or past the age cutoff, then drop isolated neurons."""
     flat, rows, cols = _edge_entries(map_state)
     ages = map_state.ages.take(flat)
     aged = ages >= age_max
     upper = (aged & (rows < cols)).nonzero()[0]
-    events = [
-        {"kind": "edge_aged_out", "edge": (a, b), "age": age}
-        for a, b, age in zip(rows[upper].tolist(), cols[upper].tolist(), ages[upper].tolist())
-    ]
-    _cut(map_state, rows[upper], cols[upper])
-    events += _remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
-    return events
+    a, b = rows[upper], cols[upper]
+    _cut(map_state, a, b)
+    aged_out = Events(("edge_aged_out", a, b, ages[upper]))
+    return aged_out + _remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
 
 
 def maybe_add_neuron(
@@ -358,7 +398,7 @@ def maybe_add_neuron(
     t_add: int,
     rng: np.random.Generator,
     beta_mode: str = "gaussian",
-) -> list:
+) -> Events:
     """Split the worst neuron if its error exceeds the growing threshold.
 
     Eligible only when at least t_add epochs passed since the last split. The
@@ -370,17 +410,17 @@ def maybe_add_neuron(
     draw (or 0 in "zero" mode). At most one split per call.
     """
     if epochs_since_add < t_add:
-        return []
+        return Events()
     finite = np.isfinite(per_neuron_qe)
     if not finite.any():
-        return []
+        return Events()
     qe = np.where(finite, per_neuron_qe, -np.inf)
     u = int(np.argmax(qe))
     if qe[u] <= gt:
-        return []
+        return Events()
     nbrs = np.flatnonzero(map_state.edges[u])
     if nbrs.size == 0:
-        return []
+        return Events()
     v = int(nbrs[np.argmax(qe[nbrs])])
 
     if beta_mode == "zero":
@@ -414,12 +454,11 @@ def maybe_add_neuron(
     map_state.win_count = np.append(map_state.win_count, 0)
     map_state.win_count[u] = 0
 
-    return [
-        {"kind": "neuron_split", "parent": u, "neighbor": v, "new_neuron": m, "beta": beta}
-    ]
+    split = {"kind": "neuron_split", "parent": u, "neighbor": v, "new_neuron": m, "beta": beta}
+    return Events(("neuron_split", [split]))
 
 
-def enforce_degree(map_state: MapState, q: int) -> list:
+def enforce_degree(map_state: MapState, q: int) -> Events:
     """Trim each neuron down to its q lowest-age edges, then drop isolates.
 
     Neurons are processed in ascending index order; within a neuron, edges
@@ -452,16 +491,12 @@ def enforce_degree(map_state: MapState, q: int) -> list:
             lost.setdefault(j, []).append(i)
             cut_i.append(i)
             cut_j.append(j)
-    events = [
-        {"kind": "edge_trimmed", "edge": (i, j) if i < j else (j, i), "neuron": i}
-        for i, j in zip(cut_i, cut_j)
-    ]
-    if events:
-        cut_i, cut_j = np.array(cut_i), np.array(cut_j)
-        _cut(map_state, cut_i, cut_j)
-        degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
-    events += _remove_isolated(map_state, degrees)
-    return events
+    if not cut_i:
+        return _remove_isolated(map_state, degrees)
+    cut_i, cut_j = np.array(cut_i), np.array(cut_j)
+    _cut(map_state, cut_i, cut_j)
+    degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
+    return Events(("edge_trimmed", cut_i, cut_j)) + _remove_isolated(map_state, degrees)
 
 
 def _sigma_at(config: TrainConfig, sigma0: float, epoch: int) -> float:

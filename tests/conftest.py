@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from amsom import engine
 from amsom.core import MapState
 from amsom.datasets import load_csv
+from amsom.engine import _cut, _edge_entries
 from amsom.errors import MapStructureError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -48,6 +50,107 @@ def process_pattern_edges(map_state, winner: int, second: int) -> None:
     map_state.ages[nb, winner] += 1
     map_state.edges[winner, second] = map_state.edges[second, winner] = True
     map_state.ages[winner, second] = map_state.ages[second, winner] = 0
+
+
+def reference_remove_isolated(map_state, degrees) -> list:
+    """Isolated neurons dropped as ``engine._remove_isolated`` drops them,
+    with one dict built per event: the reference for its events."""
+    isolated = (degrees == 0).nonzero()[0]
+    if isolated.size == 0:
+        return []
+    allowed = max(0, map_state.m - 2)
+    removable = isolated[:allowed]
+    skipped = isolated[allowed:]
+    events = [{"kind": "neuron_removed", "neuron": i} for i in removable.tolist()]
+    if skipped.size > 0:
+        events.append({"kind": "removal_skipped", "neurons": skipped.tolist()})
+    map_state.delete_neurons(removable)
+    return events
+
+
+def reference_prune(map_state, age_max: int) -> list:
+    """``engine.prune_edges_and_neurons`` with one dict built per event: the
+    reference for its events."""
+    flat, rows, cols = _edge_entries(map_state)
+    ages = map_state.ages.take(flat)
+    aged = ages >= age_max
+    upper = (aged & (rows < cols)).nonzero()[0]
+    events = [
+        {"kind": "edge_aged_out", "edge": (a, b), "age": age}
+        for a, b, age in zip(rows[upper].tolist(), cols[upper].tolist(), ages[upper].tolist())
+    ]
+    _cut(map_state, rows[upper], cols[upper])
+    events += reference_remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
+    return events
+
+
+def reference_enforce_degree(map_state, q: int) -> list:
+    """``engine.enforce_degree`` with one dict built per trim: the reference
+    for its events, trims in cut order."""
+    m = map_state.m
+    flat, rows, cols = _edge_entries(map_state)
+    degrees = np.bincount(rows, minlength=m)
+    heavy = (degrees > q).nonzero()[0]
+    if heavy.size == 0:
+        return reference_remove_isolated(map_state, degrees)
+    over = degrees.take(rows) > q
+    rows, cols, flat = rows[over], cols[over], flat[over]
+    peers = cols.take(np.lexsort((cols, map_state.ages.take(flat), rows))).tolist()
+    cut_i, cut_j = [], []
+    lost = {}
+    start = 0
+    for i, degree in zip(heavy.tolist(), degrees.take(heavy).tolist()):
+        ranked = peers[start : start + degree]
+        start += degree
+        if i in lost:
+            ranked = [j for j in ranked if j not in lost[i]]
+        for j in ranked[q:]:
+            lost.setdefault(j, []).append(i)
+            cut_i.append(i)
+            cut_j.append(j)
+    events = [
+        {"kind": "edge_trimmed", "edge": (i, j) if i < j else (j, i), "neuron": i}
+        for i, j in zip(cut_i, cut_j)
+    ]
+    if events:
+        cut_i, cut_j = np.array(cut_i), np.array(cut_j)
+        _cut(map_state, cut_i, cut_j)
+        degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
+    events += reference_remove_isolated(map_state, degrees)
+    return events
+
+
+@pytest.fixture
+def event_oracle(monkeypatch):
+    """The reference events of each ``train`` epoch run while the fixture is
+    active, one list per epoch. Each structural step of ``engine`` runs as
+    it is, and its reference runs on a copy of the map it is given, which
+    must end equal to the step's map; a split's one dict is taken as the
+    step returns it, since it is built as it always was."""
+    epochs = []
+
+    def checked(step, reference):
+        def call(map_state, *args):
+            if reference is None:
+                got = step(map_state, *args)
+                epochs[-1] += got
+                return got
+            expected = map_state.copy()
+            want = reference(expected, *args)
+            got = step(map_state, *args)
+            assert_same_map(map_state, expected)
+            if reference is reference_prune:  # each epoch's first step
+                epochs.append([])
+            epochs[-1] += want
+            return got
+
+        return call
+
+    for name, reference in [("prune_edges_and_neurons", reference_prune),
+                            ("maybe_add_neuron", None),
+                            ("enforce_degree", reference_enforce_degree)]:
+        monkeypatch.setattr(engine, name, checked(getattr(engine, name), reference))
+    return epochs
 
 
 def neighborhood_output(r_j, r_i, sigma: float) -> float:

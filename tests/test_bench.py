@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from itertools import groupby
 from pathlib import Path
 from types import SimpleNamespace
@@ -584,7 +585,7 @@ def test_summary_txt_is_utf8_under_an_ascii_locale(tmp_path):
 # ------------------------------------------------------------------- CLI
 
 
-def test_cli_train_and_render(blob_csv, tmp_path, capsys):
+def test_cli_train_and_render(blob_csv, tmp_path, capsys, event_oracle):
     out = tmp_path / "map.json"
     code = main(
         [
@@ -604,7 +605,13 @@ def test_cli_train_and_render(blob_csv, tmp_path, capsys):
     )
     assert code == 0
     assert out.exists()
-    assert "snapshot:" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "snapshot:" in printed
+    # train's event totals, as the reference events of its epochs count them
+    counts = Counter(e["kind"] for epoch in event_oracle for e in epoch)
+    kinds = ("edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split")
+    assert "events: " + ", ".join(f"{counts[kind]} {kind}" for kind in kinds) in printed.splitlines()
+    assert counts["edge_aged_out"] > 0 and counts["edge_trimmed"] > 0
 
     assert main(["render", str(out)]) == 0
     assert out.with_suffix(".svg").exists()

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,7 @@ from conftest import (
     neighborhood_input,
     neighborhood_output,
     process_pattern_edges,
+    reference_prune,
 )
 
 
@@ -1539,6 +1541,61 @@ def test_train_searches_again_only_after_a_split_or_a_degree_cap_removal(monkeyp
     assert any(c and not s for s, c in zip(split, capped))
     assert any(s and not c for s, c in zip(split, capped))
     assert any(s and c == 1 for s, c in zip(split, capped))
+
+
+def test_train_events_match_the_reference_every_epoch(event_oracle):
+    # every epoch's events iterate as the dicts the reference builds, in its
+    # order and with plain ints, and count, size and truth agree with them
+    data, ms, cfg = _churning_run()
+    _, reports = train(data, ms, cfg)
+    assert [list(r.events) for r in reports] == event_oracle
+    for report, want in zip(reports, event_oracle):
+        assert report.events == want
+        assert report.events.counts() == Counter(e["kind"] for e in want)
+        assert len(report.events) == len(want) and bool(report.events) == bool(want)
+        assert [report.events[k] for k in range(len(want))] == want
+        for event in report.events:
+            for value in event.values():
+                items = value if isinstance(value, (tuple, list)) else [value]
+                assert all(type(v) in (int, str, float) for v in items)
+    # a removal can never be skipped in train: the edge refresh always leaves
+    # the last pattern's pair an edge of age 0, which neither pruning nor the
+    # degree cap cuts, so a map prunes to no edge only when called directly
+    kinds = {e["kind"] for epoch in event_oracle for e in epoch}
+    assert kinds == {"edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split"}
+    ms = make_map(np.zeros((3, 2)), edges=[(0, 1, 40), (1, 2, 50)])
+    expected = ms.copy()
+    events = prune_edges_and_neurons(ms, age_max=30)
+    want = reference_prune(expected, 30)
+    assert list(events) == want and events.counts()["removal_skipped"] == 1
+    assert_same_map(ms, expected)
+
+
+def _mixture16(n_per_blob, seed=0):
+    """A 16-D mixture of 8 Gaussian blobs (sd 1, centres uniform in [0, 10])
+    in shuffled order, as perfbench's mixture16-train workload makes it."""
+    rng = np.random.default_rng([seed, 16])
+    centres = rng.uniform(0.0, 10.0, size=(8, 16))
+    labels = rng.permutation(np.repeat(np.arange(8), n_per_blob))
+    return Dataset(centres[labels] + rng.normal(size=(labels.size, 16)))
+
+
+def test_train_reports_hold_at_most_64_bytes_per_event():
+    # the reports hold each epoch's events as the index arrays that made
+    # them, not as one dict per event (about 250 bytes each)
+    data = _mixture16(250)
+    ms, cfg = create_initial_map(data, TrainConfig(seed=0))
+    tracemalloc.start()
+    try:
+        _, reports = train(data, ms, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        events = sum(len(r.events) for r in reports)
+        del reports
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert events > 1000
+    assert (held - left) / events <= 64
 
 
 def test_smooth_freezes_the_structure(iris):

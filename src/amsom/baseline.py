@@ -8,7 +8,7 @@ no position updates, no edge aging, no neuron addition or removal.
 from __future__ import annotations
 
 from .core import Dataset, MapState, assign_all
-from .engine import TrainConfig, _pairwise_sq, _run_epochs, _SigmaSchedule, batch_weight_update
+from .engine import Events, TrainConfig, _pairwise_sq, _Run, batch_weight_update
 
 
 def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, progress=None):
@@ -22,17 +22,14 @@ def train_batch_som(data: Dataset, map_state: MapState, config: TrainConfig, pro
     its cell width stays at one cell, so the schedule's late retargeting
     aims at sigma_final itself.
     """
-    schedule = _SigmaSchedule(config, map_state)
     sq_dist = _pairwise_sq(map_state.positions)
-    asg = assign_all(data, map_state)
+    run = _Run(config, map_state, assign_all(data, map_state))
 
-    def step(epoch, live):
-        nonlocal asg
-        sigma, _ = schedule.step(epoch, map_state)
-        map_state.win_count += asg.wins
-        map_state.weights = batch_weight_update(map_state, asg, data, sigma, sq_dist=sq_dist)
-        asg = assign_all(data, map_state)
-        return [(asg.dist, [])]
+    def step(epoch):
+        sigma, _ = run.schedule(epoch)
+        map_state.win_count += run.asg.wins
+        map_state.weights = batch_weight_update(map_state, run.asg, data, sigma, sq_dist=sq_dist)
+        run.asg = assign_all(data, map_state)
+        return run.asg.dist, Events()
 
-    (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)
-    return map_state, reports
+    return run.loop(step, progress)

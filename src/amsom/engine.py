@@ -115,21 +115,6 @@ def _normal_widths(sigma: float, gamma: float) -> bool:
     return all(tiny <= width < math.inf for width in (sigma * sigma, gamma * sigma * sigma))
 
 
-@dataclass
-class EpochReport:
-    """What one epoch did: error level and structural events.
-
-    Train's ``events`` is an ``Events`` value (smoothing's and the baseline's
-    is []): dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
-    "neuron_removed", "neuron_split", "removal_skipped"), tallied by
-    ``counts()``; indices refer to the map as it stood when the event happened.
-    """
-
-    epoch: int
-    mqe: float
-    events: Events | list = field(default_factory=list)
-
-
 class Events:
     """Structural events as parts, each a kind and then the index arrays that
     made them (aged-out edges' rows, columns and ages; trims' neurons and peers
@@ -164,14 +149,27 @@ class Events:
     def __len__(self):
         return sum(len(items) for _, items, *_ in self._parts)
 
-    def __getitem__(self, index):
-        return list(self)[index]
-
     def __add__(self, other):
         return Events(*self._parts, *other._parts)
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (Events, list)) else NotImplemented
+
+
+@dataclass
+class EpochReport:
+    """What one epoch did: error level and structural events.
+
+    ``events`` is an ``Events`` value (empty in smoothing and the baseline):
+    dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
+    "neuron_removed", "neuron_split"; "removal_skipped" only from a direct
+    call on a map whose every neuron is isolated, never in ``train``),
+    tallied by ``counts()``; indices refer to the map as it stood then.
+    """
+
+    epoch: int
+    mqe: float
+    events: Events = field(default_factory=Events)
 
 
 # Block budget of _pairwise_sq for d != 2: at most KERNEL_CHUNK float64
@@ -352,7 +350,9 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
 
 def _remove_isolated(map_state: MapState, degrees: np.ndarray) -> Events:
     """Drop neurons with no edges, in ascending index order, keeping m >= 2;
-    ``degrees`` are the map's degrees, as the caller counted them."""
+    ``degrees`` are the map's degrees, as the caller counted them. A removal is
+    skipped only on a map with every neuron isolated, never in ``train``: its edge
+    refresh leaves an edge of age 0 that no later step of the epoch cuts."""
     isolated = (degrees == 0).nonzero()[0]
     if isolated.size == 0:
         return Events()
@@ -554,27 +554,33 @@ def _median(values: np.ndarray):
     return ordered[k] if ordered.size % 2 else (ordered[k - 1] + ordered[k]) / 2.0
 
 
-class _SigmaSchedule:
-    """Per-epoch sigma and position rate for one training run.
+class _Run:
+    """What one epoch of ``train`` or ``train_batch_som`` hands the next: the
+    map and ``asg``, its assignment as it stands (nothing touches the map
+    between epochs); the schedule's ``sigma0``, the ``initial_sigma`` of the
+    map as the run begins, and once the layout freezes ``tail_start``,
+    ``tail_sigma`` and ``target``; and train's split clock ``epochs_since_add``,
+    the epochs since the last split."""
 
-    While the layout can still move, sigma follows the plain exponential
-    decay toward sigma_final. The epoch the position rate reaches zero, the
-    remaining decay is retargeted at the frozen map's measured cell width
-    and eased so the per-epoch sigma change vanishes at the decay horizon.
-    A map that never moved (the baseline lattice) has cell width exactly
-    sigma_final, so both trainers run the same shape of schedule and land
-    on the same final sigma. Starts from ``initial_sigma`` of the map as
-    the run begins.
-    """
-
-    def __init__(self, config: TrainConfig, map_state: MapState):
+    def __init__(self, config: TrainConfig, map_state: MapState, asg: Assignment):
         self.config = config
+        self.map_state = map_state
+        self.asg = asg
         self.sigma0 = initial_sigma(config, map_state)
-        self.tail_start = None
-        self.tail_sigma = None
-        self.target = None
+        self.tail_start = self.tail_sigma = self.target = None
+        self.epochs_since_add = 0
 
-    def step(self, epoch: int, map_state: MapState):
+    def schedule(self, epoch: int):
+        """This epoch's sigma and position rate.
+
+        While the layout can still move, sigma follows the plain exponential
+        decay toward sigma_final. The epoch the position rate reaches zero,
+        the remaining decay is retargeted at the frozen map's measured cell
+        width and eased so the per-epoch sigma change vanishes at the decay
+        horizon. A map that never moved (the baseline lattice) has cell width
+        exactly sigma_final, so both trainers run the same shape of schedule
+        and land on the same final sigma.
+        """
         cfg = self.config
         if self.tail_start is None:
             sigma = _sigma_at(cfg, self.sigma0, epoch)
@@ -582,19 +588,24 @@ class _SigmaSchedule:
             if alpha == 0.0:
                 self.tail_start = epoch
                 self.tail_sigma = sigma
-                self.target = _cell_width_sigma(map_state, cfg)
+                self.target = _cell_width_sigma(self.map_state, cfg)
             return sigma, alpha
         horizon = cfg.sigma_decay_epochs
-        if horizon > self.tail_start:
-            u = (min(epoch, horizon) - self.tail_start) / (horizon - self.tail_start)
-            # Smoothstep easing makes the per-epoch sigma steps vanish as the
-            # horizon nears, so the weights are already settled when the decay
-            # stops and the eps1 cutoff fires without trailing flips.
-            u = u * u * (3.0 - 2.0 * u)
-            sigma = self.tail_sigma * (self.target / self.tail_sigma) ** u
-        else:
-            sigma = self.tail_sigma
-        return sigma, 0.0
+        if horizon <= self.tail_start:
+            return self.tail_sigma, 0.0
+        u = (min(epoch, horizon) - self.tail_start) / (horizon - self.tail_start)
+        # Smoothstep easing makes the per-epoch sigma steps vanish as the
+        # horizon nears, so the weights are already settled when the decay
+        # stops and the eps1 cutoff fires without trailing flips.
+        u = u * u * (3.0 - 2.0 * u)
+        return self.tail_sigma * (self.target / self.tail_sigma) ** u, 0.0
+
+    def loop(self, step, progress):
+        """Run ``step(epoch) -> (dist, events)`` in the shared epoch loop, to
+        eps1 or max_epochs; returns ``(map_state, reports)``."""
+        runs = [(self.config.max_epochs, self.config.eps1, progress)]
+        (reports,) = _run_epochs(runs, lambda epoch, live: [step(epoch)])
+        return self.map_state, reports
 
 
 def _run_epochs(runs, step):
@@ -663,43 +674,35 @@ def train(data: Dataset, map_state: MapState, config: TrainConfig, progress=None
     q = config.effective_q
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 1]))
 
-    epochs_since_add = 0
-    schedule = _SigmaSchedule(config, map_state)
-    # the assignment of the map as it stands; nothing touches the map between
-    # two epochs, so the one that ends an epoch starts the next
-    asg = assign_all(data, map_state)
+    run = _Run(config, map_state, assign_all(data, map_state))
 
-    def step(epoch, live):
-        nonlocal epochs_since_add, asg
-        sigma, alpha = schedule.step(epoch, map_state)
-        _apply_epoch_edges(map_state, asg)
-        map_state.weights = batch_weight_update(map_state, asg, data, sigma)
+    def step(epoch):
+        sigma, alpha = run.schedule(epoch)
+        _apply_epoch_edges(map_state, run.asg)
+        map_state.weights = batch_weight_update(map_state, run.asg, data, sigma)
         if alpha > 0.0:
-            map_state.positions = position_update(
-                map_state, asg, sigma, alpha, config.gamma
-            )
+            map_state.positions = position_update(map_state, run.asg, sigma, alpha, config.gamma)
 
         events = prune_edges_and_neurons(map_state, config.age_max)
-        epochs_since_add += 1
+        run.epochs_since_add += 1
 
-        asg = assign_all(data, map_state)
+        run.asg = asg = assign_all(data, map_state)
         pnqe = per_neuron_quantization(asg)
         split_events = maybe_add_neuron(
-            map_state, pnqe, gt, epochs_since_add, config.t_add, rng, config.beta_mode
+            map_state, pnqe, gt, run.epochs_since_add, config.t_add, rng, config.beta_mode
         )
         if split_events:
-            epochs_since_add = 0
+            run.epochs_since_add = 0
         events += split_events
 
         events += enforce_degree(map_state, q)
 
         # a split or a degree-cap removal changed the map after its search
         if split_events or map_state.m != asg.m:
-            asg = assign_all(data, map_state)
-        return [(asg.dist, events)]
+            run.asg = assign_all(data, map_state)
+        return run.asg.dist, events
 
-    (reports,) = _run_epochs([(config.max_epochs, config.eps1, progress)], step)
-    return map_state, reports
+    return run.loop(step, progress)
 
 
 def smooth(
@@ -875,4 +878,4 @@ class _Lockstep:
         _pull(r, t_off, r_bins, k, gap.take(off, axis=0), self.rate)
         self.asg = asg = self.search.assign(w)
         dist = asg.dist
-        return [(dist[a:b], []) for a, b in self.spans]
+        return [(dist[a:b], Events()) for a, b in self.spans]

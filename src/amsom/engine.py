@@ -153,7 +153,7 @@ class Events:
         return Events(*self._parts, *other._parts)
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (Events, list)) else NotImplemented
+        return list(self) == list(other) if isinstance(other, Events) else NotImplemented
 
 
 @dataclass

@@ -910,7 +910,7 @@ def test_prune_cuts_aged_edges_and_drops_the_isolated_neuron():
 def test_prune_below_cutoff_changes_nothing():
     ms = make_map(np.zeros((4, 2)), edges=[(0, 1, 29), (1, 2, 0), (2, 3, 12)])
     before = ms.copy()
-    assert prune_edges_and_neurons(ms, age_max=30) == []
+    assert list(prune_edges_and_neurons(ms, age_max=30)) == []
     assert np.array_equal(ms.edges, before.edges)
     assert np.array_equal(ms.ages, before.ages)
     assert ms.m == 4
@@ -947,7 +947,7 @@ def test_split_divides_worst_neuron_and_shares_its_edges():
         ms, pnqe, gt=0.96, epochs_since_add=30, t_add=30,
         rng=np.random.default_rng(0), beta_mode="zero",
     )
-    assert events == [
+    assert list(events) == [
         {"kind": "neuron_split", "parent": 0, "neighbor": 2, "new_neuron": 5, "beta": 0.0}
     ]
     assert ms.m == 6
@@ -990,22 +990,22 @@ def test_split_gating():
     pnqe = np.array([2.0, 1.0, 1.5, 0.5, 0.1])
 
     ms = _splittable_map()
-    assert maybe_add_neuron(ms, pnqe, 0.96, 29, 30, rng) == []  # too soon
+    assert list(maybe_add_neuron(ms, pnqe, 0.96, 29, 30, rng)) == []  # too soon
     assert ms.m == 5
 
     ms = _splittable_map()
-    assert maybe_add_neuron(ms, np.full(5, np.nan), 0.96, 30, 30, rng) == []
+    assert list(maybe_add_neuron(ms, np.full(5, np.nan), 0.96, 30, 30, rng)) == []
 
     ms = _splittable_map()
-    assert maybe_add_neuron(ms, pnqe, 2.5, 30, 30, rng) == []  # nobody over gt
+    assert list(maybe_add_neuron(ms, pnqe, 2.5, 30, 30, rng)) == []  # nobody over gt
 
     # error exactly at the threshold does not split
     ms = _splittable_map()
-    assert maybe_add_neuron(ms, np.array([1.0, 0.2, 0.2, 0.2, 0.2]), 1.0, 30, 30, rng) == []
+    assert list(maybe_add_neuron(ms, np.array([1.0, 0.2, 0.2, 0.2, 0.2]), 1.0, 30, 30, rng)) == []
 
     # worst neuron without any edges cannot divide
     ms = make_map(np.zeros((3, 2)), edges=[(1, 2)])
-    assert maybe_add_neuron(ms, np.array([5.0, 0.1, 0.1]), 0.9, 30, 30, rng) == []
+    assert list(maybe_add_neuron(ms, np.array([5.0, 0.1, 0.1]), 0.9, 30, 30, rng)) == []
 
 
 def test_split_ties_resolve_to_lowest_index():
@@ -1064,7 +1064,7 @@ def test_degree_cap_drops_only_the_oldest_edge():
         edges=[(0, 1, 2), (0, 2, 0), (0, 3, 1), (0, 4, 3), (0, 5, 9), (1, 2, 0), (4, 5, 1)],
     )
     events = enforce_degree(ms, q=4)
-    assert events == [{"kind": "edge_trimmed", "edge": (0, 5), "neuron": 0}]
+    assert list(events) == [{"kind": "edge_trimmed", "edge": (0, 5), "neuron": 0}]
     assert set(np.flatnonzero(ms.edges[0])) == {1, 2, 3, 4}
     assert ms.ages[0, 5] == 0 and not ms.edges[0, 5]
     assert ms.edges[4, 5]  # the trimmed peer keeps its other edge
@@ -1107,7 +1107,7 @@ def test_degree_cap_removes_peers_it_isolates():
 def test_degree_cap_leaves_compliant_maps_alone():
     ms = build_lattice(LatticeSpec(3, 3))
     before = ms.copy()
-    assert enforce_degree(ms, q=4) == []
+    assert list(enforce_degree(ms, q=4)) == []
     assert np.array_equal(ms.edges, before.edges)
 
 
@@ -1232,7 +1232,7 @@ def test_structural_steps_keep_the_invariants_property():
             # same events and map as the loop over every neuron
             expected = ms.copy()
             expected_events = _enforce_degree_every_neuron(expected, q)
-            assert enforce_degree(ms, q) == expected_events
+            assert list(enforce_degree(ms, q)) == expected_events
             assert_same_map(ms, expected)
 
         # the degree cap brings any map under q
@@ -1243,7 +1243,7 @@ def test_structural_steps_keep_the_invariants_property():
         pruned, expected = ms.copy(), ms.copy()
         events = prune_edges_and_neurons(pruned, age_max)
         # the same events, in plain ints, and the same map as the edge loop
-        assert events == _prune_with_an_edge_loop(expected, age_max)
+        assert list(events) == _prune_with_an_edge_loop(expected, age_max)
         aged_out = [e for e in events if e["kind"] == "edge_aged_out"]
         assert all(type(v) is int for e in aged_out for v in (*e["edge"], e["age"]))
         assert_same_map(pruned, expected)
@@ -1323,7 +1323,7 @@ def test_structural_steps_match_their_loop_references_at_benchmark_size(seed):
 
     expected = ms.copy()
     events = prune_edges_and_neurons(ms, age_max)
-    assert events == _prune_with_an_edge_loop(expected, age_max)
+    assert list(events) == _prune_with_an_edge_loop(expected, age_max)
     assert_same_map(ms, expected)
     assert sum(e["kind"] == "edge_aged_out" for e in events) > 10
     assert any(e["kind"] == "neuron_removed" for e in events)
@@ -1334,7 +1334,7 @@ def test_structural_steps_match_their_loop_references_at_benchmark_size(seed):
         capped, expected = ms.copy(), ms.copy()
         heavy = set(np.flatnonzero(capped.degrees() > q).tolist())
         events = enforce_degree(capped, q)
-        assert events == _enforce_degree_every_neuron(expected, q)
+        assert list(events) == _enforce_degree_every_neuron(expected, q)
         assert_same_map(capped, expected)
         assert len(heavy) >= 10
         if q == 4:
@@ -1543,6 +1543,17 @@ def test_train_searches_again_only_after_a_split_or_a_degree_cap_removal(monkeyp
     assert any(s and c == 1 for s, c in zip(split, capped))
 
 
+def test_events_equal_only_events():
+    # an Events value never equals the list of its own dicts, yet two equal
+    # runs' reports, which hold separate Events values, still compare equal
+    data, ms, cfg = _churning_run()
+    _, reports = train(data, ms.copy(), cfg)
+    _, again = train(data, ms, cfg)
+    events = next(report.events for report in reports if report.events)
+    assert events != list(events) and list(events) != events
+    assert reports == again and reports[0].events is not again[0].events
+
+
 def test_train_events_match_the_reference_every_epoch(event_oracle):
     # every epoch's events iterate as the dicts the reference builds, in its
     # order and with plain ints, and count, size and truth agree with them
@@ -1550,7 +1561,7 @@ def test_train_events_match_the_reference_every_epoch(event_oracle):
     _, reports = train(data, ms, cfg)
     assert [list(r.events) for r in reports] == event_oracle
     for report, want in zip(reports, event_oracle):
-        assert report.events == want
+        assert list(report.events) == want
         assert report.events.counts() == Counter(e["kind"] for e in want)
         assert len(report.events) == len(want) and bool(report.events) == bool(want)
         for event in report.events:
@@ -1584,7 +1595,7 @@ def test_every_report_counts_its_events(trainer):
         assert sum(counts, Counter())["neuron_split"] > 0
     else:
         assert counts == [Counter()] * len(reports)
-        assert all(report.events == [] for report in reports)
+        assert all(list(report.events) == [] for report in reports)
     assert engine.EpochReport(1, 0.0).events.counts() == Counter()
 
 

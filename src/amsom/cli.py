@@ -22,7 +22,7 @@ from .bench import (
     run_experiment,
     typed_values,
 )
-from .engine import TrainConfig, smooth, train
+from .engine import EVENT_KINDS, TrainConfig, smooth, train
 from .errors import ConfigError, DataError
 from .grid import create_initial_map
 from .metrics import quality_report
@@ -96,8 +96,7 @@ def _cmd_train(args) -> int:
     )
     print(f"neurons: {initial_m} -> {map_state.m}")
     print(f"epochs: {train_epochs} train + {smooth_epochs} smooth")
-    kinds = ("edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split")
-    print("events: " + ", ".join(f"{events[kind]} {kind}" for kind in kinds))
+    print("events: " + ", ".join(f"{events[kind]} {kind}" for kind in EVENT_KINDS))
     print(f"qe: {quality.qe:.6f}  te: {quality.te:.6f}  dead: {quality.dead_unit_count}")
     print(f"snapshot: {args.out}")
     return 0

@@ -115,29 +115,36 @@ def _normal_widths(sigma: float, gamma: float) -> bool:
     return all(tiny <= width < math.inf for width in (sigma * sigma, gamma * sigma * sigma))
 
 
+# The kinds of structural event, in the order ``amsom train`` prints them.
+EVENT_KINDS = ("edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split")
+
+
 class Events:
     """Structural events as parts, each a kind and then the index arrays that
-    made them (aged-out edges' rows, columns and ages; trims' neurons and peers
-    in cut order; removed neurons) or a list of its dicts (a split, a skipped
-    removal). It iterates as dicts of plain ints, in the order they happened."""
+    made them: aged-out edges' rows, columns and ages; trims' neurons and peers
+    in cut order; removed neurons; a split's parent, neighbor, new neuron and
+    beta. It iterates as dicts of plain ints (and a float beta), in the order
+    they happened. Two values are equal when their parts are: the same kinds
+    in the same order, with equal arrays."""
 
     __slots__ = ("_parts",)
+
+    # each kind's dict fields, from one event's values as plain Python numbers
+    _FIELDS = {
+        "edge_aged_out": lambda i, j, age: {"edge": (i, j), "age": age},
+        "edge_trimmed": lambda i, j: {"edge": (min(i, j), max(i, j)), "neuron": i},
+        "neuron_removed": lambda i: {"neuron": i},
+        "neuron_split": lambda *row: dict(zip(("parent", "neighbor", "new_neuron", "beta"), row)),
+    }
 
     def __init__(self, *parts):
         self._parts = tuple(part for part in parts if len(part[1]))
 
     def __iter__(self):
         for kind, *columns in self._parts:
-            if kind == "edge_aged_out":
-                for i, j, age in zip(*(column.tolist() for column in columns)):
-                    yield {"kind": kind, "edge": (i, j), "age": age}
-            elif kind == "edge_trimmed":
-                for i, j in zip(*(column.tolist() for column in columns)):
-                    yield {"kind": kind, "edge": (i, j) if i < j else (j, i), "neuron": i}
-            elif kind == "neuron_removed":
-                yield from ({"kind": kind, "neuron": i} for i in columns[0].tolist())
-            else:
-                yield from columns[0]
+            fields = self._FIELDS[kind]
+            for values in zip(*(column.tolist() for column in columns)):
+                yield {"kind": kind, **fields(*values)}
 
     def counts(self) -> Counter:
         """The number of events of each kind, in order of first occurrence."""
@@ -153,7 +160,12 @@ class Events:
         return Events(*self._parts, *other._parts)
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Events) else NotImplemented
+        if not isinstance(other, Events):
+            return NotImplemented
+        return len(self._parts) == len(other._parts) and all(
+            a[0] == b[0] and all(map(np.array_equal, a[1:], b[1:]))
+            for a, b in zip(self._parts, other._parts)
+        )
 
 
 @dataclass
@@ -161,10 +173,8 @@ class EpochReport:
     """What one epoch did: error level and structural events.
 
     ``events`` is an ``Events`` value (empty in smoothing and the baseline):
-    dicts with a ``kind`` key ("edge_aged_out", "edge_trimmed",
-    "neuron_removed", "neuron_split"; "removal_skipped" only from a direct
-    call on a map whose every neuron is isolated, never in ``train``),
-    tallied by ``counts()``; indices refer to the map as it stood then.
+    dicts with a ``kind`` key, one of ``EVENT_KINDS``, tallied by
+    ``counts()``; indices refer to the map as it stood then.
     """
 
     epoch: int
@@ -348,21 +358,6 @@ def _apply_epoch_edges(map_state: MapState, asg: Assignment) -> None:
     map_state.win_count += wins
 
 
-def _remove_isolated(map_state: MapState, degrees: np.ndarray) -> Events:
-    """Drop neurons with no edges, in ascending index order, keeping m >= 2;
-    ``degrees`` are the map's degrees, as the caller counted them. A removal is
-    skipped only on a map with every neuron isolated, never in ``train``: its edge
-    refresh leaves an edge of age 0 that no later step of the epoch cuts."""
-    isolated = (degrees == 0).nonzero()[0]
-    if isolated.size == 0:
-        return Events()
-    allowed = max(0, map_state.m - 2)
-    removable, skipped = isolated[:allowed], isolated[allowed:].tolist()
-    map_state.delete_neurons(removable)
-    skip = [{"kind": "removal_skipped", "neurons": skipped}] if skipped else []
-    return Events(("neuron_removed", removable), ("removal_skipped", skip))
-
-
 def _edge_entries(map_state: MapState):
     """Every edge of the map from one flat scan of its adjacency matrix:
     the flat index of each (row, column) entry in row-major order, its row
@@ -371,11 +366,23 @@ def _edge_entries(map_state: MapState):
     return (flat, *np.divmod(flat, map_state.m))
 
 
-def _cut(map_state: MapState, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Remove the edges (rows[k], cols[k]) in both directions, ages to zero."""
+def _cut_and_drop(map_state: MapState, rows, cols, degrees: np.ndarray) -> Events:
+    """Remove the edges (rows[k], cols[k]) in both directions, ages to zero,
+    then the neurons with no edges, in ascending index order; ``degrees`` are
+    the map's degrees after the cuts, as the caller counted them. A removal
+    that would leave fewer than two neurons raises MapStructureError before
+    the map changes. It never happens in ``train``: its edge refresh leaves
+    an edge of age 0 that no later step of the epoch cuts."""
+    isolated = (degrees == 0).nonzero()[0]
+    if map_state.m - isolated.size < 2:
+        raise MapStructureError(
+            f"removing {isolated.size} isolated neurons would leave fewer than 2 of {map_state.m}"
+        )
     flat = np.concatenate([rows * map_state.m + cols, cols * map_state.m + rows])
     map_state.edges.put(flat, False)
     map_state.ages.put(flat, 0)
+    map_state.delete_neurons(isolated)
+    return Events(("neuron_removed", isolated))
 
 
 def prune_edges_and_neurons(map_state: MapState, age_max: int) -> Events:
@@ -385,9 +392,8 @@ def prune_edges_and_neurons(map_state: MapState, age_max: int) -> Events:
     aged = ages >= age_max
     upper = (aged & (rows < cols)).nonzero()[0]
     a, b = rows[upper], cols[upper]
-    _cut(map_state, a, b)
-    aged_out = Events(("edge_aged_out", a, b, ages[upper]))
-    return aged_out + _remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
+    degrees = np.bincount(rows[~aged], minlength=map_state.m)
+    return Events(("edge_aged_out", a, b, ages[upper])) + _cut_and_drop(map_state, a, b, degrees)
 
 
 def maybe_add_neuron(
@@ -454,8 +460,7 @@ def maybe_add_neuron(
     map_state.win_count = np.append(map_state.win_count, 0)
     map_state.win_count[u] = 0
 
-    split = {"kind": "neuron_split", "parent": u, "neighbor": v, "new_neuron": m, "beta": beta}
-    return Events(("neuron_split", [split]))
+    return Events(("neuron_split", *(np.array([value]) for value in (u, v, m, beta))))
 
 
 def enforce_degree(map_state: MapState, q: int) -> Events:
@@ -473,8 +478,6 @@ def enforce_degree(map_state: MapState, q: int) -> Events:
     flat, rows, cols = _edge_entries(map_state)
     degrees = np.bincount(rows, minlength=m)
     heavy = (degrees > q).nonzero()[0]
-    if heavy.size == 0:
-        return _remove_isolated(map_state, degrees)
     over = degrees.take(rows) > q
     rows, cols, flat = rows[over], cols[over], flat[over]
     # each heavy neuron's peers, in ascending neuron order, best first
@@ -491,12 +494,9 @@ def enforce_degree(map_state: MapState, q: int) -> Events:
             lost.setdefault(j, []).append(i)
             cut_i.append(i)
             cut_j.append(j)
-    if not cut_i:
-        return _remove_isolated(map_state, degrees)
-    cut_i, cut_j = np.array(cut_i), np.array(cut_j)
-    _cut(map_state, cut_i, cut_j)
+    cut_i, cut_j = np.array(cut_i, dtype=np.intp), np.array(cut_j, dtype=np.intp)
     degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
-    return Events(("edge_trimmed", cut_i, cut_j)) + _remove_isolated(map_state, degrees)
+    return Events(("edge_trimmed", cut_i, cut_j)) + _cut_and_drop(map_state, cut_i, cut_j, degrees)
 
 
 def _sigma_at(config: TrainConfig, sigma0: float, epoch: int) -> float:

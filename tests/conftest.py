@@ -8,7 +8,7 @@ import pytest
 from amsom import engine
 from amsom.core import MapState
 from amsom.datasets import load_csv
-from amsom.engine import _cut, _edge_entries
+from amsom.engine import _edge_entries
 from amsom.errors import MapStructureError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -52,20 +52,23 @@ def process_pattern_edges(map_state, winner: int, second: int) -> None:
     map_state.ages[winner, second] = map_state.ages[second, winner] = 0
 
 
+def cut(map_state, rows, cols) -> None:
+    """Remove the edges (rows[k], cols[k]) one at a time, in both
+    directions, ages to zero."""
+    for i, j in zip(rows, cols):
+        map_state.edges[i, j] = map_state.edges[j, i] = False
+        map_state.ages[i, j] = map_state.ages[j, i] = 0
+
+
 def reference_remove_isolated(map_state, degrees) -> list:
-    """Isolated neurons dropped as ``engine._remove_isolated`` drops them,
-    with one dict built per event: the reference for its events."""
+    """Isolated neurons dropped as ``engine`` drops them after its cuts, with
+    one dict built per event: the reference for its events. A removal that
+    would leave fewer than two neurons raises MapStructureError."""
     isolated = (degrees == 0).nonzero()[0]
-    if isolated.size == 0:
-        return []
-    allowed = max(0, map_state.m - 2)
-    removable = isolated[:allowed]
-    skipped = isolated[allowed:]
-    events = [{"kind": "neuron_removed", "neuron": i} for i in removable.tolist()]
-    if skipped.size > 0:
-        events.append({"kind": "removal_skipped", "neurons": skipped.tolist()})
-    map_state.delete_neurons(removable)
-    return events
+    if map_state.m - isolated.size < 2:
+        raise MapStructureError("fewer than 2 neurons would remain")
+    map_state.delete_neurons(isolated)
+    return [{"kind": "neuron_removed", "neuron": i} for i in isolated.tolist()]
 
 
 def reference_prune(map_state, age_max: int) -> list:
@@ -79,7 +82,7 @@ def reference_prune(map_state, age_max: int) -> list:
         {"kind": "edge_aged_out", "edge": (a, b), "age": age}
         for a, b, age in zip(rows[upper].tolist(), cols[upper].tolist(), ages[upper].tolist())
     ]
-    _cut(map_state, rows[upper], cols[upper])
+    cut(map_state, rows[upper], cols[upper])
     events += reference_remove_isolated(map_state, np.bincount(rows[~aged], minlength=map_state.m))
     return events
 
@@ -113,8 +116,7 @@ def reference_enforce_degree(map_state, q: int) -> list:
         for i, j in zip(cut_i, cut_j)
     ]
     if events:
-        cut_i, cut_j = np.array(cut_i), np.array(cut_j)
-        _cut(map_state, cut_i, cut_j)
+        cut(map_state, cut_i, cut_j)
         degrees -= np.bincount(cut_i, minlength=m) + np.bincount(cut_j, minlength=m)
     events += reference_remove_isolated(map_state, degrees)
     return events
@@ -125,8 +127,8 @@ def event_oracle(monkeypatch):
     """The reference events of each ``train`` epoch run while the fixture is
     active, one list per epoch. Each structural step of ``engine`` runs as
     it is, and its reference runs on a copy of the map it is given, which
-    must end equal to the step's map; a split's one dict is taken as the
-    step returns it, since it is built as it always was."""
+    must end equal to the step's map; a split's one event is taken as the
+    step returns it, as a dict."""
     epochs = []
 
     def checked(step, reference):

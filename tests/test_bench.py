@@ -28,7 +28,7 @@ from amsom.bench import (
 from amsom.cli import main
 from amsom.core import Dataset, MapState
 from amsom.datasets import split_dataset
-from amsom.engine import TrainConfig
+from amsom.engine import EVENT_KINDS, TrainConfig
 from amsom.errors import ConfigError, TrainingError
 from amsom.metrics import quality_report
 from amsom.snapshot import export_snapshot_json, load_snapshot
@@ -609,8 +609,8 @@ def test_cli_train_and_render(blob_csv, tmp_path, capsys, event_oracle):
     assert "snapshot:" in printed
     # train's event totals, as the reference events of its epochs count them
     counts = Counter(e["kind"] for epoch in event_oracle for e in epoch)
-    kinds = ("edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split")
-    assert "events: " + ", ".join(f"{counts[kind]} {kind}" for kind in kinds) in printed.splitlines()
+    line = "events: " + ", ".join(f"{counts[kind]} {kind}" for kind in EVENT_KINDS)
+    assert line in printed.splitlines()
     assert counts["edge_aged_out"] > 0 and counts["edge_trimmed"] > 0
 
     assert main(["render", str(out)]) == 0

@@ -23,7 +23,6 @@ from amsom.engine import (
     _cell_width_sigma,
     _input_kernel,
     _pairwise_sq,
-    _remove_isolated,
     _Run,
     _run_epochs,
     _sigma_at,
@@ -53,6 +52,7 @@ from conftest import (
     neighborhood_output,
     process_pattern_edges,
     reference_prune,
+    reference_remove_isolated,
 )
 
 
@@ -917,13 +917,19 @@ def test_prune_below_cutoff_changes_nothing():
 
 
 def test_prune_never_shrinks_below_two_neurons():
+    # every edge ages out, so no neuron would be left: the step raises
+    # before it cuts an edge or drops a neuron, and the map stays as it was
     ms = make_map(np.zeros((3, 2)), edges=[(0, 1, 40), (1, 2, 50)])
-    events = prune_edges_and_neurons(ms, age_max=30)
-    assert ms.m == 2
-    removed = [e for e in events if e["kind"] == "neuron_removed"]
-    skipped = [e for e in events if e["kind"] == "removal_skipped"]
-    assert [e["neuron"] for e in removed] == [0]
-    assert skipped and skipped[0]["neurons"] == [1, 2]
+    before = ms.copy()
+    with pytest.raises(MapStructureError):
+        prune_edges_and_neurons(ms, age_max=30)
+    assert ms.m == 3
+    assert_same_map(ms, before)
+    # the degree cap on a map with no edges raises the same way
+    ms = make_map(np.zeros((3, 2)))
+    with pytest.raises(MapStructureError):
+        enforce_degree(ms, q=4)
+    assert ms.m == 3
 
 
 # ----------------------------------------------------------- cell division
@@ -1038,7 +1044,7 @@ def _enforce_degree_every_neuron(map_state, q):
         map_state.edges[drop, i] = False
         map_state.ages[i, drop] = 0
         map_state.ages[drop, i] = 0
-    events += _remove_isolated(map_state, map_state.degrees())
+    events += reference_remove_isolated(map_state, map_state.degrees())
     return events
 
 
@@ -1054,7 +1060,7 @@ def _prune_with_an_edge_loop(map_state, age_max):
         )
     map_state.edges[aged] = False
     map_state.ages[aged] = 0
-    events += _remove_isolated(map_state, map_state.degrees())
+    events += reference_remove_isolated(map_state, map_state.degrees())
     return events
 
 
@@ -1228,30 +1234,43 @@ def test_structural_steps_keep_the_invariants_property():
         ms.win_count = rng.integers(0, 9, size=m)
         ms.validate()
 
-        def cap(ms):
-            # same events and map as the loop over every neuron
-            expected = ms.copy()
-            expected_events = _enforce_degree_every_neuron(expected, q)
-            assert list(enforce_degree(ms, q)) == expected_events
+        def matches(step, reference, ms, *args):
+            # the same events and map as the reference; where the reference
+            # raises, the step raises too and leaves the map as it was
+            expected, before = ms.copy(), ms.copy()
+            try:
+                want = reference(expected, *args)
+            except MapStructureError:
+                with pytest.raises(MapStructureError):
+                    step(ms, *args)
+                assert_same_map(ms, before)
+                return None
+            events = step(ms, *args)
+            assert list(events) == want
             assert_same_map(ms, expected)
+            return events
 
-        # the degree cap brings any map under q
-        cap(ms)
+        # the degree cap brings any map under q; only a map with no edge,
+        # whose every neuron would go, makes it raise
+        if matches(enforce_degree, _enforce_degree_every_neuron, ms, q) is None:
+            assert not ms.edges.any()
+            return
         ms.validate(q_max=q)
         assert ms.m >= 2
 
-        pruned, expected = ms.copy(), ms.copy()
-        events = prune_edges_and_neurons(pruned, age_max)
-        # the same events, in plain ints, and the same map as the edge loop
-        assert list(events) == _prune_with_an_edge_loop(expected, age_max)
-        aged_out = [e for e in events if e["kind"] == "edge_aged_out"]
-        assert all(type(v) is int for e in aged_out for v in (*e["edge"], e["age"]))
-        assert_same_map(pruned, expected)
-        pruned.validate(q_max=q)
-        assert pruned.m >= 2
-        # exactly the aged edges go; removed neurons were isolated
-        assert pruned.edges.sum() == (ms.edges & (ms.ages < age_max)).sum()
-        assert not np.any(pruned.ages[pruned.edges] >= age_max)
+        pruned = ms.copy()
+        events = matches(prune_edges_and_neurons, _prune_with_an_edge_loop, pruned, age_max)
+        if events is None:
+            # only a map whose every edge ages out would lose every neuron
+            assert not (ms.edges & (ms.ages < age_max)).any()
+        else:
+            aged_out = [e for e in events if e["kind"] == "edge_aged_out"]
+            assert all(type(v) is int for e in aged_out for v in (*e["edge"], e["age"]))
+            pruned.validate(q_max=q)
+            assert pruned.m >= 2
+            # exactly the aged edges go; removed neurons were isolated
+            assert pruned.edges.sum() == (ms.edges & (ms.ages < age_max)).sum()
+            assert not np.any(pruned.ages[pruned.edges] >= age_max)
 
         # a split adds one edge to the parent and each of its neighbors, so
         # it can lift a degree to q + 1; train caps the degree right after it
@@ -1261,7 +1280,7 @@ def test_structural_steps_keep_the_invariants_property():
         maybe_add_neuron(ms, pnqe, 0.5, 30, 30, rng)
         ms.validate(q_max=q + 1)
         assert ms.m in (m_before, m_before + 1)
-        cap(ms)
+        assert matches(enforce_degree, _enforce_degree_every_neuron, ms, q) is not None
         ms.validate(q_max=q)
         assert ms.m >= 2
 
@@ -1427,14 +1446,7 @@ def test_train_keeps_invariants_every_epoch(iris):
     assert seen == list(range(1, len(reports) + 1))
     assert final.m >= 2
     assert reports[-1].mqe < reports[0].mqe
-    kinds = {e["kind"] for r in reports for e in r.events}
-    assert kinds <= {
-        "edge_aged_out",
-        "edge_trimmed",
-        "neuron_removed",
-        "neuron_split",
-        "removal_skipped",
-    }
+    assert {e["kind"] for r in reports for e in r.events} <= set(engine.EVENT_KINDS)
 
 
 def test_train_input_checks():
@@ -1552,6 +1564,12 @@ def test_events_equal_only_events():
     events = next(report.events for report in reports if report.events)
     assert events != list(events) and list(events) != events
     assert reports == again and reports[0].events is not again[0].events
+    # values compare part by part: the kind, then the arrays one by one
+    removed = engine.Events(("neuron_removed", np.array([1, 2])))
+    assert removed == engine.Events(("neuron_removed", np.array([1, 2])))
+    assert removed != engine.Events(("neuron_removed", np.array([1, 3])))
+    assert removed != engine.Events(("edge_trimmed", np.array([1, 2]), np.array([0, 0])))
+    assert removed != removed + engine.Events(("neuron_removed", np.array([4])))
 
 
 def test_train_events_match_the_reference_every_epoch(event_oracle):
@@ -1561,24 +1579,24 @@ def test_train_events_match_the_reference_every_epoch(event_oracle):
     _, reports = train(data, ms, cfg)
     assert [list(r.events) for r in reports] == event_oracle
     for report, want in zip(reports, event_oracle):
-        assert list(report.events) == want
         assert report.events.counts() == Counter(e["kind"] for e in want)
         assert len(report.events) == len(want) and bool(report.events) == bool(want)
         for event in report.events:
             for value in event.values():
                 items = value if isinstance(value, (tuple, list)) else [value]
                 assert all(type(v) in (int, str, float) for v in items)
-    # a removal can never be skipped in train: the edge refresh always leaves
-    # the last pattern's pair an edge of age 0, which neither pruning nor the
-    # degree cap cuts, so a map prunes to no edge only when called directly
-    kinds = {e["kind"] for epoch in event_oracle for e in epoch}
-    assert kinds == {"edge_aged_out", "edge_trimmed", "neuron_removed", "neuron_split"}
+    assert {e["kind"] for epoch in event_oracle for e in epoch} == set(engine.EVENT_KINDS)
+    # train never prunes a map to fewer than two neurons: the edge refresh
+    # always leaves the last pattern's pair an edge of age 0, which neither
+    # pruning nor the degree cap cuts, so only a direct call can, and then
+    # the step and its reference both raise
     ms = make_map(np.zeros((3, 2)), edges=[(0, 1, 40), (1, 2, 50)])
-    expected = ms.copy()
-    events = prune_edges_and_neurons(ms, age_max=30)
-    want = reference_prune(expected, 30)
-    assert list(events) == want and events.counts()["removal_skipped"] == 1
-    assert_same_map(ms, expected)
+    before = ms.copy()
+    with pytest.raises(MapStructureError):
+        reference_prune(ms.copy(), 30)
+    with pytest.raises(MapStructureError):
+        prune_edges_and_neurons(ms, age_max=30)
+    assert_same_map(ms, before)
 
 
 @pytest.mark.parametrize("trainer", ["train", "smooth", "train_batch_som"])
